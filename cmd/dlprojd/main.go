@@ -39,7 +39,10 @@
 // -peers-file makes membership dynamic: rewrite the file and send SIGHUP
 // (or POST /v1/cluster/reload from loopback) to swap the ring without a
 // restart. -store-remote layers a shared remote result store over the
-// local cache directory.
+// local cache directory: reads are local-first and backfill from the
+// remote, writes land locally and are copied to the remote best-effort,
+// and a failing remote costs recomputation, never an error. Without
+// -cache-dir the remote is the only result store.
 //
 // Every request carries a correlation ID (inbound X-Request-ID when
 // well-formed, generated otherwise), echoed on the response and written
@@ -154,7 +157,7 @@ func run() int {
 		peersFile    = flag.String("peers-file", "", "peers file (one name=url per line, # comments); reloaded on SIGHUP or POST /v1/cluster/reload")
 		rf           = flag.Int("rf", 1, "replication factor: each result lives on this many ring owners (requires -cache-dir and peers when > 1)")
 		spoolDir     = flag.String("spool-dir", "", "hinted-handoff spool directory (default: <cache-dir>-spool; only used with -rf > 1)")
-		storeRemote  = flag.String("store-remote", "", "base URL of a remote result store layered over the local cache (empty = local only)")
+		storeRemote  = flag.String("store-remote", "", "base URL of a shared remote result store: the only store, or with -cache-dir a best-effort copy behind local-first reads (empty = local only)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -190,8 +193,9 @@ func run() int {
 	tr := obs.New()
 
 	// Result store: -cache-dir alone is resolved inside the serving layer
-	// (FS store). A -store-remote layers a shared remote store over it
-	// (tiered: local-first reads with backfill, best-effort replication),
+	// (FS store). A -store-remote layers a shared remote store over it —
+	// the local store replicated to one remote owner with no hint spool,
+	// so a failed copy is dropped and counted in store_replicate_total —
 	// or serves as the only backend when no cache dir is configured.
 	var st store.Store
 	if *storeRemote != "" {
@@ -208,7 +212,7 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "dlprojd:", err)
 				return 1
 			}
-			if st, err = store.NewTiered(local, remote, sm); err != nil {
+			if st, err = store.NewReplicated(local, store.OneRemote(remote), nil, sm); err != nil {
 				fmt.Fprintln(os.Stderr, "dlprojd:", err)
 				return 1
 			}

@@ -8,8 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sync"
 
 	"defectsim/internal/atpg"
 	"defectsim/internal/coverage"
@@ -23,21 +21,14 @@ import (
 	"defectsim/internal/transistor"
 )
 
-// cacheEnvelope wraps the serialized payload with an integrity checksum.
-// A cache file that fails to parse, fails the checksum or carries the
-// wrong version is treated as corrupt: the caller falls back to a fresh
-// run and the event is recorded (never an error — the cache is an
-// optimization, not a source of truth).
-type cacheEnvelope struct {
-	Version  int             `json:"version"`
-	Checksum string          `json:"checksum"` // sha256 of Payload, hex
-	Payload  json.RawMessage `json:"payload"`
-}
-
 // cacheFile is the serialized form of a pipeline's expensive simulation
 // results. Everything else (layout, extraction, transistor netlist, the
 // fault universes) is deterministic and cheap to rebuild, so only the
-// vectors and detection data are stored.
+// vectors and detection data are stored. The payload is sealed in the
+// store's checksummed envelope (store.Seal); an entry that fails
+// store.Open or carries the wrong version is treated as corrupt: the
+// caller falls back to a fresh run and the event is recorded (never an
+// error — the cache is an optimization, not a source of truth).
 type cacheFile struct {
 	Circuit      string      `json:"circuit"`
 	Config       cacheConfig `json:"config"`
@@ -97,25 +88,6 @@ func CacheKey(circuit string, cfg Config) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// savePaths serializes concurrent same-path cache writes within this
-// process. The serving layer makes such writes likely (many jobs, one
-// cache file per result key); without the lock, two atomic-write renames
-// race benignly (last writer wins) but interleaved temp-file churn and
-// rename-over-rename traffic is pointless work. Readers still never need
-// the lock: loadCached always sees either the old or the new complete
-// file, and any corruption falls back to a fresh run. The map holds one
-// mutex per distinct cleaned path for the life of the process — bounded
-// by the set of cache files, not by the request volume.
-var savePaths sync.Map // cleaned path → *sync.Mutex
-
-func savePathLock(path string) *sync.Mutex {
-	if abs, err := filepath.Abs(path); err == nil {
-		path = abs
-	}
-	mu, _ := savePaths.LoadOrStore(filepath.Clean(path), &sync.Mutex{})
-	return mu.(*sync.Mutex)
-}
-
 func digestConfig(cfg Config) cacheConfig {
 	d := ""
 	for _, c := range cfg.Stats.Classes {
@@ -131,10 +103,10 @@ func digestConfig(cfg Config) cacheConfig {
 
 // EncodeCache serializes the pipeline's simulation results as the
 // checksummed cache envelope — the exact bytes every store backend
-// persists and store.VerifyEnvelope validates. Result-degraded runs are
-// refused: their partial results would be served to later cache hits as
-// if complete (cache-load cannot tell the difference — the key
-// deliberately excludes execution budgets).
+// persists and store.Open verifies. Result-degraded runs are refused:
+// their partial results would be served to later cache hits as if
+// complete (cache-load cannot tell the difference — the key deliberately
+// excludes execution budgets).
 func (p *Pipeline) EncodeCache() ([]byte, error) {
 	if p.ResultDegraded() {
 		return nil, fmt.Errorf("experiments: refusing to cache a result-degraded run (%d degradations)", len(p.Degradations))
@@ -174,38 +146,17 @@ func (p *Pipeline) EncodeCache() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(payload)
-	env := cacheEnvelope{
-		Version:  cacheVersion,
-		Checksum: hex.EncodeToString(sum[:]),
-		Payload:  payload,
-	}
-	return json.Marshal(&env)
-}
-
-// Save writes the pipeline's simulation results to path: a checksummed
-// envelope written atomically and durably (temp file + fsync + rename +
-// directory fsync, via store.AtomicWrite) so that a crash or a
-// concurrent reader never observes a truncated cache. Concurrent Saves
-// to the same path within one process are serialized (last writer wins).
-// Result-degraded runs are refused — see EncodeCache.
-func (p *Pipeline) Save(path string) error {
-	data, err := p.EncodeCache()
-	if err != nil {
-		return err
-	}
-	mu := savePathLock(path)
-	mu.Lock()
-	defer mu.Unlock()
-	return store.AtomicWrite(path, data)
+	return store.Seal(cacheVersion, payload)
 }
 
 // RunCached behaves like Run but reuses the simulation results stored at
 // path when they match the circuit and configuration, rebuilding only the
 // cheap deterministic artifacts. On a cache miss it runs the full pipeline
-// and refreshes the file. With cfg.Obs set, a cache hit still produces a
-// run report (spanning the rebuild stages, flagged CacheHit) so a traced
-// run always explains where its results came from.
+// and refreshes the file through store.AtomicWrite, so a crash or a
+// concurrent reader never observes a truncated cache. With cfg.Obs set, a
+// cache hit still produces a run report (spanning the rebuild stages,
+// flagged CacheHit) so a traced run always explains where its results
+// came from.
 func RunCached(nl *netlist.Netlist, cfg Config, path string) (*Pipeline, bool, error) {
 	return RunCachedCtx(context.Background(), nl, cfg, path)
 }
@@ -222,7 +173,7 @@ func RunCachedCtx(ctx context.Context, nl *netlist.Netlist, cfg Config, path str
 
 // RunStoredCtx is the store-backed generalization of RunCachedCtx: the
 // result is looked up in (and on a miss, persisted to) any store.Store —
-// the local filesystem cache, a remote peer, or a tiered combination.
+// the local filesystem cache, a remote peer, or a replicated combination.
 // The degradation contract is identical: a corrupt or unreadable entry
 // falls back to a fresh run (pipeline_cache_corrupt + "cache"
 // Degradation), a failed write degrades instead of erroring, and a
@@ -310,9 +261,6 @@ func (f fileStore) Get(_ context.Context, _ string) ([]byte, error) {
 }
 
 func (f fileStore) Put(_ context.Context, _ string, data []byte) error {
-	mu := savePathLock(f.path)
-	mu.Lock()
-	defer mu.Unlock()
 	return store.AtomicWrite(f.path, data)
 }
 
@@ -324,21 +272,6 @@ func (f fileStore) Stat(_ context.Context, _ string) (bool, error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// loadCached attempts a cache hit from a file path. The corrupt return
-// is non-empty when the file exists but is unusable (parse failure,
-// checksum mismatch, version skew); an absent file or a clean
-// config/circuit mismatch is an ordinary miss with corrupt == "".
-func loadCached(ctx context.Context, nl *netlist.Netlist, cfg Config, path string) (p *Pipeline, ok bool, corrupt string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, ""
-		}
-		return nil, false, fmt.Sprintf("unreadable cache file %s: %v", path, err)
-	}
-	return decodeCache(ctx, nl, cfg, data)
 }
 
 // DecodeCached rebuilds a pipeline from envelope bytes fetched out of a
@@ -360,22 +293,20 @@ func DecodeCached(ctx context.Context, nl *netlist.Netlist, cfg Config, data []b
 	return nil, fmt.Errorf("experiments: decode cached result: %s", corrupt)
 }
 
-// decodeCache attempts a cache hit from envelope bytes (see loadCached
-// for the ok/corrupt contract).
+// decodeCache attempts a cache hit from envelope bytes. The corrupt
+// return is non-empty when the bytes are unusable (parse failure,
+// checksum mismatch, version skew); a clean circuit/config mismatch is an
+// ordinary miss with corrupt == "".
 func decodeCache(ctx context.Context, nl *netlist.Netlist, cfg Config, data []byte) (p *Pipeline, ok bool, corrupt string) {
-	var env cacheEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, false, fmt.Sprintf("cache envelope does not parse: %v", err)
+	version, payload, err := store.Open(data)
+	if err != nil {
+		return nil, false, err.Error()
 	}
-	if env.Version != cacheVersion {
-		return nil, false, fmt.Sprintf("cache envelope has version %d, want %d", env.Version, cacheVersion)
-	}
-	sum := sha256.Sum256(env.Payload)
-	if hex.EncodeToString(sum[:]) != env.Checksum {
-		return nil, false, "cache envelope fails its checksum (truncated or corrupted)"
+	if version != cacheVersion {
+		return nil, false, fmt.Sprintf("cache envelope has version %d, want %d", version, cacheVersion)
 	}
 	var cf cacheFile
-	if err := json.Unmarshal(env.Payload, &cf); err != nil {
+	if err := json.Unmarshal(payload, &cf); err != nil {
 		return nil, false, fmt.Sprintf("cache payload does not parse: %v", err)
 	}
 	if cf.Circuit != nl.Name || cf.Config != digestConfig(cfg) {
@@ -386,7 +317,6 @@ func decodeCache(ctx context.Context, nl *netlist.Netlist, cfg Config, data []by
 	reg := tr.Metrics()
 	load := tr.StartSpan("cache-load")
 	p = &Pipeline{Config: cfg, Netlist: nl}
-	var err error
 	sp := tr.StartSpan("layout")
 	p.Layout, err = layout.BuildCtx(ctx, nl, nil)
 	sp.End()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -54,10 +55,15 @@ func TestConcurrentCacheSamePath(t *testing.T) {
 	}
 
 	// Whatever won the last write must be a clean, loadable cache for its
-	// own config. Probe with loadCached directly — a RunCachedCtx miss
-	// would overwrite the file and mask which config actually won.
-	pA, hitA, corruptA := loadCached(context.Background(), nl, cfgA, path)
-	pB, hitB, corruptB := loadCached(context.Background(), nl, cfgB, path)
+	// own config. Probe the file's bytes with decodeCache directly — a
+	// RunCachedCtx miss would overwrite the file and mask which config
+	// actually won.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pA, hitA, corruptA := decodeCache(context.Background(), nl, cfgA, data)
+	pB, hitB, corruptB := decodeCache(context.Background(), nl, cfgB, data)
 	if corruptA != "" || corruptB != "" {
 		t.Fatalf("file left behind is corrupt: %q / %q", corruptA, corruptB)
 	}

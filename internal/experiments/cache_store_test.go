@@ -15,8 +15,8 @@ import (
 )
 
 // TestSaveEnvelopeIsStoreCompatible pins the wire contract between the
-// experiments cache envelope and the store layer's independent mirror:
-// every byte stream Save/EncodeCache produces must pass
+// experiments cache and the store layer: every byte stream EncodeCache
+// produces, and the cache file RunCached writes, must pass
 // store.VerifyEnvelope, or remote peers would reject locally-valid
 // results.
 func TestSaveEnvelopeIsStoreCompatible(t *testing.T) {
@@ -37,7 +37,7 @@ func TestSaveEnvelopeIsStoreCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := store.VerifyEnvelope(onDisk); err != nil {
-		t.Fatalf("Save output fails store.VerifyEnvelope: %v", err)
+		t.Fatalf("cache file fails store.VerifyEnvelope: %v", err)
 	}
 }
 
@@ -58,6 +58,10 @@ func TestSaveCrashBeforeRenameKeepsOldCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data, err := p.EncodeCache()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	boom := errors.New("crash before rename")
 	var tmpAtHook []byte
@@ -66,11 +70,11 @@ func TestSaveCrashBeforeRenameKeepsOldCache(t *testing.T) {
 		return boom
 	})
 	defer restore()
-	if err := p.Save(path); !errors.Is(err, boom) {
-		t.Fatalf("Save = %v, want the injected crash", err)
+	if err := (fileStore{path: path}).Put(context.Background(), "", data); !errors.Is(err, boom) {
+		t.Fatalf("Put = %v, want the injected crash", err)
 	}
 	if got, _ := os.ReadFile(path); string(got) != string(before) {
-		t.Fatal("aborted Save changed the destination file")
+		t.Fatal("aborted Put changed the destination file")
 	}
 	// The sync-before-rename ordering: at hook time the temp file already
 	// held the complete envelope (it verifies end to end).

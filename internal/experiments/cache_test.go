@@ -93,10 +93,10 @@ func TestRunCachedDegradedNotSaved(t *testing.T) {
 	if got := cfg.Obs.Metrics().Counter("pipeline_cache_save_skipped_degraded").Value(); got != 1 {
 		t.Fatalf("pipeline_cache_save_skipped_degraded = %d, want 1", got)
 	}
-	// Save itself refuses degraded pipelines (defense in depth for any
-	// future direct caller).
-	if err := p.Save(path); err == nil {
-		t.Fatal("Save accepted a result-degraded run")
+	// EncodeCache itself refuses degraded pipelines (defense in depth for
+	// any future direct caller).
+	if _, err := p.EncodeCache(); err == nil {
+		t.Fatal("EncodeCache accepted a result-degraded run")
 	}
 
 	// The same result-determining config without budgets: a miss (never a

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"defectsim/internal/dlmodel"
-	"defectsim/internal/yield"
 )
 
 func TestClusteredLotMatchesClosedForm(t *testing.T) {
@@ -27,7 +26,7 @@ func TestClusteredLotMatchesClosedForm(t *testing.T) {
 	for _, alpha := range []float64{0.5, 2, 1e8} {
 		res := SimulateClusteredLot(list, detectedAt, 1, 250000, alpha, 77)
 		wantDL := dlmodel.Clustered(lambda, alpha, theta)
-		wantY := yield.NegBinomial(lambda, alpha)
+		wantY := math.Pow(1+lambda/alpha, -alpha) // Stapper's negative-binomial yield
 		if math.Abs(res.Yield()-wantY) > 0.01 {
 			t.Fatalf("α=%g: empirical yield %.4f vs NB %.4f", alpha, res.Yield(), wantY)
 		}

@@ -688,9 +688,6 @@ func (s *Server) runJob(j *job) {
 		s.mu.Lock()
 		s.running--
 		s.mInflight.Set(float64(s.running))
-		if s.inflight[j.ckey] == j {
-			delete(s.inflight, j.ckey)
-		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		j.cancel() // release the context's resources
@@ -955,8 +952,16 @@ func (s *Server) SpoolDepth() int {
 
 // finish classifies a run's outcome onto the job record, stamps the
 // request ID onto the run report, and seals the event stream with the
-// degradation and terminal events.
+// degradation and terminal events. The job leaves the inflight map
+// first: a client that resubmits as soon as it sees the terminal event
+// must start a fresh job (or hit the store), never coalesce onto this
+// finished one.
 func (s *Server) finish(j *job, p *experiments.Pipeline, cacheHit bool, err error) {
+	s.mu.Lock()
+	if s.inflight[j.ckey] == j {
+		delete(s.inflight, j.ckey)
+	}
+	s.mu.Unlock()
 	j.mu.Lock()
 	if j.state != StateRunning {
 		j.mu.Unlock()

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -454,6 +456,58 @@ func TestCancelRunningReleasesKey(t *testing.T) {
 		t.Fatalf("fresh run after cancel = %d: %s", code, data)
 	}
 	waitState(t, ts, first.ID, StateCancelled)
+}
+
+// TestResubmitAfterTerminalEventIsFresh pins when a finished job lets go
+// of its coalescing key: before its terminal event is emitted. A client
+// that resubmits the moment it sees the job end must get a new job
+// (served from the result store), never a coalesce onto the finished
+// one. The JSON logger matters: finish logs after the terminal event,
+// which widens any window in which the key is still held. Sixty distinct
+// jobs make such a window show on practically every run under -race.
+func TestResubmitAfterTerminalEventIsFresh(t *testing.T) {
+	logger := slog.New(slog.NewJSONHandler(io.Discard, nil))
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 4, CacheDir: t.TempDir(), Logger: logger})
+
+	const jobs = 60
+	for i := 0; i < jobs; i++ {
+		body := fmt.Sprintf(`{"circuit":"c17","random_vectors":48,"seed":%d}`, 5000+i)
+		first := submitJob(t, ts, body)
+		waitTerminalEvent(t, ts, first.ID)
+		code, _, data := post(t, ts.URL+"/v1/pipeline", body)
+		if code != http.StatusAccepted {
+			t.Fatalf("job %d: resubmit right after the terminal event = %d, want 202 (a new job); body: %s", i, code, data)
+		}
+		second := decode[jobStatus](t, data)
+		if second.ID == first.ID {
+			t.Fatalf("job %d: resubmission reused finished job %s", i, first.ID)
+		}
+		if code, data := waitResult(t, ts, second.ID); code != http.StatusOK {
+			t.Fatalf("job %d: fresh resubmission result = %d: %s", i, code, data)
+		}
+	}
+}
+
+// waitTerminalEvent long-polls a job's event stream until its terminal
+// event arrives — the way a client learns that a job is over.
+func waitTerminalEvent(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	since := int64(0)
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		code, data := get(t, fmt.Sprintf("%s/v1/pipeline/%s/events?poll=1&since=%d&wait_ms=2000", ts.URL, id, since))
+		if code != http.StatusOK {
+			t.Fatalf("events %s = %d: %s", id, code, data)
+		}
+		pr := decode[pollEventsResponse](t, data)
+		if pr.Terminal {
+			return
+		}
+		if n := len(pr.Events); n > 0 {
+			since = pr.Events[n-1].Seq
+		}
+	}
+	t.Fatalf("job %s: no terminal event after 30s", id)
 }
 
 // TestBudgetsDoNotCoalesce pins the coalescing key: submissions that

@@ -41,8 +41,8 @@ func (s BreakerState) String() string {
 }
 
 // ErrBreakerOpen fails an operation fast because the target's circuit is
-// open. Callers distinguish it with errors.Is to fall back (tiered store,
-// cluster routing) instead of retrying.
+// open. Callers distinguish it with errors.Is to fall back (replicated
+// store, cluster routing) instead of retrying.
 var ErrBreakerOpen = errors.New("store: circuit breaker open")
 
 // IsUnavailable reports whether err means the backend could not be used

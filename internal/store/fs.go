@@ -11,17 +11,14 @@ import (
 )
 
 // FS is the filesystem backend: one file per key under a directory,
-// written atomically (temp file + fsync + rename) so a reader or a crash
-// never observes a partial entry. Concurrent same-key writes within the
-// process are serialized; across processes the rename makes last-writer-
-// wins safe because content-addressed keys imply identical bytes.
+// written through AtomicWrite so a reader or a crash never observes a
+// partial entry and same-key writes within the process are serialized;
+// across processes the rename makes last-writer-wins safe because
+// content-addressed keys imply identical bytes.
 type FS struct {
 	dir string
 	ext string
 	m   *Metrics
-	// locks holds one mutex per key written by this process — bounded by
-	// the set of distinct keys, not request volume.
-	locks sync.Map // key → *sync.Mutex
 }
 
 // NewFS returns a filesystem store rooted at dir, creating it if needed.
@@ -36,9 +33,6 @@ func NewFS(dir string, m *Metrics) (*FS, error) {
 
 // Name implements Store.
 func (f *FS) Name() string { return "fs" }
-
-// Dir returns the backing directory.
-func (f *FS) Dir() string { return f.dir }
 
 func (f *FS) path(key string) string { return filepath.Join(f.dir, key+f.ext) }
 
@@ -73,9 +67,6 @@ func (f *FS) Put(ctx context.Context, key string, data []byte) error {
 		f.m.op(f.Name(), "put", "error")
 		return err
 	}
-	mu := f.keyLock(key)
-	mu.Lock()
-	defer mu.Unlock()
 	if err := AtomicWrite(f.path(key), data); err != nil {
 		f.m.op(f.Name(), "put", "error")
 		return fmt.Errorf("store: fs put %s: %w", key, err)
@@ -106,17 +97,31 @@ func (f *FS) Stat(ctx context.Context, key string) (bool, error) {
 	return true, nil
 }
 
-func (f *FS) keyLock(key string) *sync.Mutex {
-	mu, _ := f.locks.LoadOrStore(key, &sync.Mutex{})
+// writeLocks serializes AtomicWrite calls to the same path within this
+// process. Unserialized, two renames onto one path still race benignly
+// (last writer wins), but the interleaved temp-file churn is pointless
+// work. Readers never need the lock: they see either the old or the new
+// complete file. One mutex per distinct cleaned absolute path for the
+// life of the process — bounded by the set of entries, not by request
+// volume.
+var writeLocks sync.Map // cleaned absolute path → *sync.Mutex
+
+func writeLock(path string) *sync.Mutex {
+	if abs, err := filepath.Abs(path); err == nil {
+		path = abs
+	}
+	mu, _ := writeLocks.LoadOrStore(filepath.Clean(path), &sync.Mutex{})
 	return mu.(*sync.Mutex)
 }
 
 // AtomicWrite commits data to path through a temp file in the same
-// directory: write, fsync, rename, fsync the directory. The fsync before
-// the rename is load-bearing — on filesystems with delayed allocation a
-// crash shortly after an unsynced rename can leave the *renamed* file
-// empty, i.e. a committed-looking but zero-length cache entry; syncing
-// the file first guarantees the rename only ever publishes durable bytes.
+// directory: write, fsync, rename, fsync the directory. Concurrent calls
+// for the same path within the process are serialized (last writer
+// wins). The fsync before the rename is load-bearing — on filesystems
+// with delayed allocation a crash shortly after an unsynced rename can
+// leave the *renamed* file empty, i.e. a committed-looking but
+// zero-length cache entry; syncing the file first guarantees the rename
+// only ever publishes durable bytes.
 // The directory fsync makes the rename itself durable (best effort: some
 // platforms reject fsync on directories, which only widens the crash
 // window for the entry's existence, never its integrity).
@@ -125,6 +130,9 @@ func (f *FS) keyLock(key string) *sync.Mutex {
 // rename with the temp path as target; an injected error aborts before
 // the rename (the crash-before-commit case) and leaves path untouched.
 func AtomicWrite(path string, data []byte) error {
+	mu := writeLock(path)
+	mu.Lock()
+	defer mu.Unlock()
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {

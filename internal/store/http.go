@@ -287,8 +287,8 @@ func (h *HTTP) Name() string { return "http" }
 // slash) the backend talks to.
 func (h *HTTP) Base() string { return h.base }
 
-// Breaker exposes the backend's circuit breaker (for the tiered store's
-// health view and for tests).
+// Breaker exposes the backend's circuit breaker (for health views and
+// tests).
 func (h *HTTP) Breaker() *Breaker { return h.t.Breaker }
 
 // Transport exposes the underlying retrying client — the cluster peer

@@ -23,6 +23,22 @@ type ReplicaSet interface {
 	ReplicaStore(name string) Store
 }
 
+// OneRemote is the static ReplicaSet of a node layered over one shared
+// remote store (dlprojd -store-remote): every key is owned by this node
+// ("local") and the remote ("remote"), local first.
+func OneRemote(remote Store) ReplicaSet { return oneRemote{remote} }
+
+type oneRemote struct{ remote Store }
+
+func (oneRemote) Self() string           { return "local" }
+func (oneRemote) Owners(string) []string { return []string{"local", "remote"} }
+func (o oneRemote) ReplicaStore(name string) Store {
+	if name == "remote" {
+		return o.remote
+	}
+	return nil
+}
+
 // Replicated composes the node's local store with the cluster's replica
 // placement:
 //
@@ -60,9 +76,6 @@ func NewReplicated(local Store, rs ReplicaSet, spool *Spool, m *Metrics) (*Repli
 
 // Name implements Store.
 func (r *Replicated) Name() string { return "replicated" }
-
-// Local returns the local tier.
-func (r *Replicated) Local() Store { return r.local }
 
 // Spool returns the hinted-handoff spool (nil when disabled).
 func (r *Replicated) Spool() *Spool { return r.spool }
@@ -157,8 +170,8 @@ func (r *Replicated) Get(ctx context.Context, key string) ([]byte, error) {
 		// and let the replica walk overwrite it below.
 		r.m.readRepair("self", "corrupt_local")
 	} else if !errors.Is(err, ErrNotFound) {
-		// A broken local tier is not a miss to paper over (same stance as
-		// Tiered): without it the node has no store at all.
+		// A broken local tier is not a miss to paper over: without it the
+		// node has no store at all.
 		r.m.op(r.Name(), "get", "error")
 		return nil, err
 	}

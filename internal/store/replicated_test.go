@@ -407,15 +407,13 @@ func TestHTTPPutThrottledSurfacesTyped(t *testing.T) {
 	}
 }
 
-// TestTieredBackfillRaceHammer drives concurrent misses, hits and puts
-// through a Tiered store so -race can catch backfill races: every
-// successful Get must return a complete, verified envelope.
-func TestTieredBackfillRaceHammer(t *testing.T) {
+// TestOneRemoteBackfillRaceHammer drives concurrent misses, hits and
+// puts through a local store layered over one remote so -race can catch
+// backfill races: every successful Get must return a complete, verified
+// envelope.
+func TestOneRemoteBackfillRaceHammer(t *testing.T) {
 	local, remote := newMemStore(), newMemStore()
-	ti, err := NewTiered(local, remote, NewMetrics(obs.New().Metrics()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newOneRemote(t, local, remote, NewMetrics(obs.New().Metrics()))
 	ctx := context.Background()
 	const keys = 8
 	want := make(map[string][]byte, keys)
@@ -439,15 +437,15 @@ func TestTieredBackfillRaceHammer(t *testing.T) {
 				k := keyAt(g + i)
 				switch (g + i) % 3 {
 				case 0:
-					if err := ti.Put(ctx, k, want[k]); err != nil {
+					if err := r.Put(ctx, k, want[k]); err != nil {
 						t.Errorf("Put %s: %v", k, err)
 					}
 				case 1:
-					if _, err := ti.Stat(ctx, k); err != nil {
+					if _, err := r.Stat(ctx, k); err != nil {
 						t.Errorf("Stat %s: %v", k, err)
 					}
 				default:
-					got, err := ti.Get(ctx, k)
+					got, err := r.Get(ctx, k)
 					if err != nil {
 						t.Errorf("Get %s: %v", k, err)
 						continue

@@ -7,16 +7,21 @@
 //   - HTTP: a remote dlprojd node's /v1/store API, hardened with
 //     per-attempt timeouts, capped exponential backoff with full jitter,
 //     Retry-After honoring and a circuit breaker,
-//   - Tiered: local + remote, degrading to local-only when the remote
-//     fails.
+//   - Replicated: the local store composed with remote owners from a
+//     ReplicaSet — a cluster ring, or OneRemote for a single shared
+//     remote — with local-first reads, read repair and best-effort
+//     fan-out.
 //
-// Keys are content addresses: a key is a digest of everything that
-// determines the payload, so two writes under one key carry identical
-// bytes and Put is naturally idempotent — a retried or duplicated Put can
-// never corrupt an entry, only re-commit it. Every backend preserves the
-// envelope byte-for-byte; VerifyEnvelope checks the embedded checksum so
-// corrupt or truncated blobs are rejected at the store boundary instead
-// of surfacing as parse errors downstream.
+// The package owns the envelope format: Seal wraps a payload as
+// {version, checksum, payload} and Open verifies and unwraps it, so the
+// pipeline encodes only its payload. Keys are content addresses: a key
+// is a digest of everything that determines the payload, so two writes
+// under one key carry identical bytes and Put is naturally idempotent —
+// a retried or duplicated Put can never corrupt an entry, only re-commit
+// it. Every backend preserves the envelope byte-for-byte; VerifyEnvelope
+// checks the embedded checksum so corrupt or truncated blobs are
+// rejected at the store boundary instead of surfacing as parse errors
+// downstream.
 package store
 
 import (
@@ -47,7 +52,7 @@ type Store interface {
 	Put(ctx context.Context, key string, data []byte) error
 	// Stat reports whether key has an entry, without fetching it.
 	Stat(ctx context.Context, key string) (bool, error)
-	// Name labels the backend in metrics and logs ("fs", "http", "tiered").
+	// Name labels the backend in metrics and logs ("fs", "http", "replicated").
 	Name() string
 }
 
@@ -99,33 +104,51 @@ func AsThrottled(err error) (*Throttled, bool) {
 	return nil, false
 }
 
-// envelope mirrors the wire shape of the experiments cache envelope —
-// {version, checksum, payload} with checksum = sha256(payload) in hex —
-// just enough to verify integrity without importing the pipeline. The
-// experiments package pins this compatibility with a round-trip test.
+// envelope is the wire shape of every stored result:
+// {version, checksum, payload} with checksum = sha256(payload) in hex.
+// The version belongs to the payload's producer (experiments' cache
+// format); the store only verifies integrity.
 type envelope struct {
 	Version  int             `json:"version"`
 	Checksum string          `json:"checksum"`
 	Payload  json.RawMessage `json:"payload"`
 }
 
-// VerifyEnvelope checks that data parses as a cache envelope whose
-// payload matches its embedded sha256 checksum. A nil error means the
-// blob is intact end to end; truncation, bit rot or a partial HTTP read
-// all fail here.
-func VerifyEnvelope(data []byte) error {
+// Seal wraps a JSON payload in the checksummed envelope. The output is
+// the exact byte stream every backend persists and Open accepts.
+func Seal(version int, payload []byte) ([]byte, error) {
+	sum := sha256.Sum256(payload)
+	return json.Marshal(&envelope{
+		Version:  version,
+		Checksum: hex.EncodeToString(sum[:]),
+		Payload:  payload,
+	})
+}
+
+// Open parses a cache envelope and checks that its payload matches the
+// embedded sha256 checksum, returning the version and payload. A nil
+// error means the blob is intact end to end; truncation, bit rot or a
+// partial HTTP read all fail here. Checking the version is the caller's
+// job.
+func Open(data []byte) (version int, payload []byte, err error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("store: envelope does not parse: %w", err)
+		return 0, nil, fmt.Errorf("store: envelope does not parse: %w", err)
 	}
 	if env.Checksum == "" || len(env.Payload) == 0 {
-		return errors.New("store: envelope missing checksum or payload")
+		return 0, nil, errors.New("store: envelope missing checksum or payload")
 	}
 	sum := sha256.Sum256(env.Payload)
 	if hex.EncodeToString(sum[:]) != env.Checksum {
-		return errors.New("store: envelope checksum mismatch (truncated or corrupted)")
+		return 0, nil, errors.New("store: envelope checksum mismatch (truncated or corrupted)")
 	}
-	return nil
+	return env.Version, env.Payload, nil
+}
+
+// VerifyEnvelope reports whether data is an intact envelope (see Open).
+func VerifyEnvelope(data []byte) error {
+	_, _, err := Open(data)
+	return err
 }
 
 // Metrics is the store-layer instrument set, shared by every backend in
@@ -140,9 +163,6 @@ type Metrics struct {
 	// BreakerState exposes each breaker: store_breaker_state{backend} with
 	// 0 closed, 1 open, 2 half-open.
 	BreakerState *obs.GaugeVec
-	// Degraded counts tiered-store degradations to local-only:
-	// store_remote_degraded_total{op}.
-	Degraded *obs.CounterVec
 	// Replicate counts replica fan-out writes:
 	// store_replicate_total{peer,outcome} with outcome
 	// ok/throttled/spooled/spool_full/dropped/no_client.
@@ -167,7 +187,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Ops:           reg.CounterVec("store_ops_total", "backend", "op", "outcome"),
 		Retries:       reg.CounterVec("store_retries_total", "backend"),
 		BreakerState:  reg.GaugeVec("store_breaker_state", "backend"),
-		Degraded:      reg.CounterVec("store_remote_degraded_total", "op"),
 		Replicate:     reg.CounterVec("store_replicate_total", "peer", "outcome"),
 		ReadRepair:    reg.CounterVec("store_read_repair_total", "target", "outcome"),
 		HintsReplayed: reg.CounterVec("store_hints_replayed_total", "peer", "outcome"),
@@ -194,13 +213,6 @@ func (m *Metrics) breakerGauge(backend string) *obs.Gauge {
 		return nil
 	}
 	return m.BreakerState.With(backend)
-}
-
-func (m *Metrics) degraded(op string) {
-	if m == nil {
-		return
-	}
-	m.Degraded.With(op).Inc()
 }
 
 func (m *Metrics) replicate(peer, outcome string) {

@@ -1,10 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -23,15 +23,10 @@ func testKey(seed byte) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// testEnvelope builds a wire-valid envelope around the given payload.
+// testEnvelope seals the given payload as a version-3 envelope.
 func testEnvelope(t *testing.T, payload string) []byte {
 	t.Helper()
-	sum := sha256.Sum256([]byte(payload))
-	data, err := json.Marshal(map[string]any{
-		"version":  3,
-		"checksum": hex.EncodeToString(sum[:]),
-		"payload":  json.RawMessage(payload),
-	})
+	data, err := Seal(3, []byte(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,22 +47,48 @@ func TestValidKey(t *testing.T) {
 	}
 }
 
+// TestVerifyEnvelope covers the damage Open, and so VerifyEnvelope, must
+// catch: each rejected input would otherwise reach the payload decoder
+// as a plausible result.
 func TestVerifyEnvelope(t *testing.T) {
 	good := testEnvelope(t, `{"circuit":"c17"}`)
 	if err := VerifyEnvelope(good); err != nil {
 		t.Fatalf("valid envelope rejected: %v", err)
 	}
-	if err := VerifyEnvelope(good[:len(good)/2]); err == nil {
-		t.Fatal("truncated envelope accepted")
+	emptySum := sha256.Sum256(nil)
+	for name, data := range map[string][]byte{
+		"truncated": good[:len(good)-1],
+		// Corrupt the payload under an unchanged checksum.
+		"flipped byte":     bytes.Replace(good, []byte(`"c17"`), []byte(`"c18"`), 1),
+		"missing checksum": []byte(`{"version":3,"payload":{"circuit":"c17"}}`),
+		// The checksum of zero bytes matches an absent payload, so only
+		// the emptiness check stands between this and an accepted blob.
+		"empty payload": []byte(`{"version":3,"checksum":"` + hex.EncodeToString(emptySum[:]) + `"}`),
+	} {
+		if _, _, err := Open(data); err == nil {
+			t.Errorf("%s: Open accepted %s", name, data)
+		}
 	}
-	// Corrupt the payload under an unchanged checksum: the digest must
-	// catch it.
-	corrupted := []byte(strings.Replace(string(good), `"circuit":"c17"`, `"circuit":"c18"`, 1))
-	if err := VerifyEnvelope(corrupted); err == nil {
-		t.Fatal("corrupted envelope accepted")
+}
+
+// TestSealWireFormat pins the envelope bytes. Existing cache directories
+// and peers running other builds exchange exactly these blobs, so the
+// field order, the field names and the checksum encoding must not drift.
+func TestSealWireFormat(t *testing.T) {
+	payload := `{"circuit":"c17","dl":[0.5,1e-3]}`
+	want := `{"version":3,` +
+		`"checksum":"5867ec86635fb72cf6201288a3ffed04c7f27926492debdeb5c7ab103970dc48",` +
+		`"payload":{"circuit":"c17","dl":[0.5,1e-3]}}`
+	got, err := Seal(3, []byte(payload))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := VerifyEnvelope([]byte(`{"version":3}`)); err == nil {
-		t.Fatal("envelope without payload accepted")
+	if string(got) != want {
+		t.Fatalf("Seal = %s\nwant   %s", got, want)
+	}
+	version, body, err := Open(got)
+	if err != nil || version != 3 || string(body) != payload {
+		t.Fatalf("Open(Seal) = %d, %s, %v", version, body, err)
 	}
 }
 
@@ -188,7 +209,7 @@ func (f failingStore) Put(context.Context, string, []byte) error   { return f.er
 func (f failingStore) Stat(context.Context, string) (bool, error)  { return false, f.err }
 func (f failingStore) Name() string                                { return "failing" }
 
-// memStore is a map-backed Store for tiered tests.
+// memStore is a map-backed Store for composition tests.
 type memStore struct {
 	mu sync.Mutex
 	m  map[string][]byte
@@ -221,62 +242,61 @@ func (s *memStore) Stat(_ context.Context, key string) (bool, error) {
 
 func (s *memStore) Name() string { return "mem" }
 
-func TestTieredRemoteHitBackfillsLocal(t *testing.T) {
-	local, remote := newMemStore(), newMemStore()
-	ti, err := NewTiered(local, remote, NewMetrics(obs.New().Metrics()))
+// newOneRemote layers local over remote the way dlprojd -store-remote
+// does: Replicated over OneRemote, without a hint spool.
+func newOneRemote(t *testing.T, local, remote Store, m *Metrics) *Replicated {
+	t.Helper()
+	r, err := NewReplicated(local, OneRemote(remote), nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func TestOneRemoteHitBackfillsLocal(t *testing.T) {
+	local, remote := newMemStore(), newMemStore()
+	r := newOneRemote(t, local, remote, NewMetrics(obs.New().Metrics()))
 	ctx := context.Background()
 	key := testKey(5)
 	data := testEnvelope(t, `{"from":"remote"}`)
 	if err := remote.Put(ctx, key, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ti.Get(ctx, key)
+	got, err := r.Get(ctx, key)
 	if err != nil || string(got) != string(data) {
-		t.Fatalf("tiered Get = %q, %v", got, err)
+		t.Fatalf("one-remote Get = %q, %v", got, err)
 	}
 	if ok, _ := local.Stat(ctx, key); !ok {
 		t.Fatal("remote hit did not backfill the local tier")
 	}
 }
 
-func TestTieredDegradesToLocalOnRemoteFailure(t *testing.T) {
+func TestOneRemoteDegradesToLocalOnRemoteFailure(t *testing.T) {
 	local := newMemStore()
 	reg := obs.New().Metrics()
-	m := NewMetrics(reg)
-	ti, err := NewTiered(local, failingStore{err: errors.New("remote down")}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newOneRemote(t, local, failingStore{err: errors.New("remote down")}, NewMetrics(reg))
 	ctx := context.Background()
 	key := testKey(6)
 	data := testEnvelope(t, `{"local":"only"}`)
 
 	// Put must succeed (local tier) despite the dead remote.
-	if err := ti.Put(ctx, key, data); err != nil {
+	if err := r.Put(ctx, key, data); err != nil {
 		t.Fatalf("Put with dead remote: %v", err)
 	}
-	if got, err := ti.Get(ctx, key); err != nil || string(got) != string(data) {
+	if got, err := r.Get(ctx, key); err != nil || string(got) != string(data) {
 		t.Fatalf("Get of local entry = %q, %v", got, err)
 	}
 	// A miss with a dead remote is a miss, not an error.
-	if _, err := ti.Get(ctx, testKey(7)); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Get(ctx, testKey(7)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get with dead remote = %v, want ErrNotFound", err)
 	}
-	if ok, err := ti.Stat(ctx, testKey(7)); err != nil || ok {
+	if ok, err := r.Stat(ctx, testKey(7)); err != nil || ok {
 		t.Fatalf("Stat with dead remote = %v, %v, want false, nil", ok, err)
 	}
-	// Degradations were counted: one for the put, one for the missed get,
-	// one for the stat.
-	total := int64(0)
-	for _, c := range reg.CounterSnapshot() {
-		if c.Name == "store_remote_degraded_total" {
-			total += c.Value
-		}
-	}
-	if total != 3 {
-		t.Fatalf("store_remote_degraded_total = %d, want 3", total)
+	// The failed copy to the remote was counted as dropped: there is no
+	// spool to hint it into.
+	rep := reg.CounterVec("store_replicate_total", "peer", "outcome")
+	if got := rep.With("remote", "dropped").Value(); got != 1 {
+		t.Fatalf("store_replicate_total{remote,dropped} = %d, want 1", got)
 	}
 }

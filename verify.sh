@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the repo's full verification recipe.
 #
-# Tier 1 (fast, the PR gate): build + vet + full test suite.
+# Tier 1 (fast, the PR gate): build + vet + full test suite, plus vet and
+# tests of the nested dlbench benchmark module.
 # Tier 2 (slow): race-detector pass over the concurrency-bearing packages
 # listed in race_packages.txt (observability, the hardened pipeline, the
 # fault-injection harness, the worker-sharded gate-, switch-level
@@ -20,6 +21,10 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go test ./..."
 go test ./...
+echo "== dlbench: go vet + go test"
+# dlbench is a nested module, so ./... above skips it; it builds against
+# this module's experiments, store and serve APIs, so build it here.
+(cd dlbench && go vet . && go test -count=1 .)
 echo "== go test -race (race_packages.txt)"
 # shellcheck disable=SC2086 — the list is intentionally word-split.
 go test -race $race_pkgs
