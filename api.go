@@ -128,7 +128,7 @@ func RunPipelineCtx(ctx context.Context, nl *Netlist, cfg PipelineConfig) (*Pipe
 // RunPipelineCached is RunPipeline with a JSON result cache at path: reruns
 // are skipped when the circuit and configuration match.
 func RunPipelineCached(nl *Netlist, cfg PipelineConfig, path string) (p *Pipeline, cacheHit bool, err error) {
-	return experiments.RunCached(nl, cfg, path)
+	return experiments.RunCachedCtx(context.Background(), nl, cfg, path)
 }
 
 // RunPipelineCachedCtx is RunPipelineCached under a context. A corrupt

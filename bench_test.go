@@ -516,7 +516,7 @@ func benchATPGTopUp(b *testing.B, tr func() *obs.Tracer) {
 	faults := fault.StuckAtUniverse(nl)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := atpg.BuildTestSetObs(nl, faults, 64, 1994, 2000, tr()); err != nil {
+		if _, err := atpg.BuildTestSetWorkersCtx(context.Background(), nl, faults, 64, 1994, 2000, 0, tr()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -548,7 +548,7 @@ func benchSwitchSim(b *testing.B, reg func() *obs.Registry) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := switchsim.SimulateFaultsObs(p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, reg()); err != nil {
+		if _, err := switchsim.SimulateFaultsCtx(context.Background(), p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, reg()); err != nil {
 			b.Fatal(err)
 		}
 	}

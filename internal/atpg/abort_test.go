@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"defectsim/internal/fault"
@@ -18,7 +19,7 @@ func TestBuildTestSetAbortAccounting(t *testing.T) {
 
 	// No random prefix and an immediately-exhausted backtrack limit: every
 	// fault needing even one backtrack aborts.
-	ts, err := BuildTestSet(nl, faults, 0, 7, 0)
+	ts, err := BuildTestSetWorkersCtx(context.Background(), nl, faults, 0, 7, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestBuildTestSetAbortAccounting(t *testing.T) {
 	}
 
 	// A sane limit must strictly improve on starvation.
-	full, err := BuildTestSet(nl, faults, 0, 7, 2000)
+	full, err := BuildTestSetWorkersCtx(context.Background(), nl, faults, 0, 7, 2000, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -550,7 +550,7 @@ func (g *Generator) generate(ctx context.Context, f fault.StuckAt, backtrackLimi
 	}
 }
 
-// TestSet is the outcome of BuildTestSet.
+// TestSet is the outcome of BuildTestSetWorkersCtx.
 type TestSet struct {
 	Patterns []gatesim.Pattern
 	// RandomCount is how many leading patterns are random.
@@ -614,33 +614,18 @@ func (ts *TestSet) Counts() (detected, untestable, aborted int) {
 	return detected, untestable, aborted
 }
 
-// BuildTestSet produces the paper's vector recipe: nRandom seeded random
-// patterns, fault-simulated with dropping, followed by deterministic
-// patterns for each remaining undetected fault (each new pattern is fault
-// simulated so later targets can be dropped early).
-func BuildTestSet(nl *netlist.Netlist, faults []fault.StuckAt, nRandom int, seed uint64, backtrackLimit int) (*TestSet, error) {
-	return BuildTestSetObs(nl, faults, nRandom, seed, backtrackLimit, nil)
-}
-
-// BuildTestSetObs is BuildTestSet with observability: stage spans for the
-// random prefix, its gate-level fault simulation and the deterministic
-// top-up, plus generation and detection metrics in tr's registry. A nil
-// tracer makes it identical (and equally cheap) to BuildTestSet.
-func BuildTestSetObs(nl *netlist.Netlist, faults []fault.StuckAt, nRandom int, seed uint64, backtrackLimit int, tr *obs.Tracer) (*TestSet, error) {
-	return BuildTestSetCtx(context.Background(), nl, faults, nRandom, seed, backtrackLimit, tr)
-}
-
-// BuildTestSetCtx is BuildTestSetObs with cancellation; it runs the
-// fault-simulation phases at the default worker count (see
-// BuildTestSetWorkersCtx).
-func BuildTestSetCtx(ctx context.Context, nl *netlist.Netlist, faults []fault.StuckAt, nRandom int, seed uint64, backtrackLimit int, tr *obs.Tracer) (*TestSet, error) {
-	return BuildTestSetWorkersCtx(ctx, nl, faults, nRandom, seed, backtrackLimit, 0, tr)
-}
-
-// BuildTestSetWorkersCtx is the full entry point: cancellation plus an
-// explicit worker count for the gate-level fault-simulation phases (the
-// random-prefix campaign and the per-pattern simulations of the top-up
-// loop), normalized by the shared internal/par policy (<= 0 selects
+// BuildTestSetWorkersCtx produces the paper's vector recipe: nRandom
+// seeded random patterns, fault-simulated with dropping, followed by
+// deterministic patterns for each remaining undetected fault (each new
+// pattern is fault simulated so later targets can be dropped early).
+//
+// tr records stage spans for the random prefix, its gate-level fault
+// simulation and the deterministic top-up, plus generation and detection
+// metrics in its registry; a nil tracer costs nothing.
+//
+// workers sets the worker count of the gate-level fault-simulation phases
+// (the random-prefix campaign and the per-pattern simulations of the
+// top-up loop), normalized by the shared internal/par policy (<= 0 selects
 // runtime.NumCPU()). The deterministic PODEM search itself stays serial —
 // pattern order defines the test set — and the gate-level simulator is
 // bitwise deterministic for any worker count, so the produced TestSet is

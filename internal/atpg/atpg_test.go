@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"defectsim/internal/fault"
@@ -54,7 +55,7 @@ func TestGenerateDetectsAllC17Faults(t *testing.T) {
 			t.Fatalf("fault %v: status %v", f, status)
 		}
 		// Verify the pattern with the reference fault simulator.
-		res, err := gatesim.Simulate(nl, []fault.StuckAt{f}, []gatesim.Pattern{pat})
+		res, err := gatesim.SimulateFaultsCtx(context.Background(), nl, []fault.StuckAt{f}, []gatesim.Pattern{pat}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestGenerateXorCircuit(t *testing.T) {
 		if status != StatusDetected {
 			t.Fatalf("parity fault %v: %v", f, status)
 		}
-		res, _ := gatesim.Simulate(nl, []fault.StuckAt{f}, []gatesim.Pattern{pat})
+		res, _ := gatesim.SimulateFaultsCtx(context.Background(), nl, []fault.StuckAt{f}, []gatesim.Pattern{pat}, 0, nil)
 		if res.DetectedAt[0] != 1 {
 			t.Fatalf("parity fault %v: bad pattern", f)
 		}
@@ -105,7 +106,7 @@ func TestGenerateXorCircuit(t *testing.T) {
 func TestBuildTestSetC432Class(t *testing.T) {
 	nl := netlist.C432Class(1994)
 	faults := fault.StuckAtUniverse(nl)
-	ts, err := BuildTestSet(nl, faults, 64, 1, 2000)
+	ts, err := BuildTestSetWorkersCtx(context.Background(), nl, faults, 64, 1, 2000, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +123,13 @@ func TestBuildTestSetC432Class(t *testing.T) {
 		t.Fatalf("testable coverage %.4f < 0.97", cov)
 	}
 	// Cross-check DetectedAt against an independent full simulation.
-	res, err := gatesim.Simulate(nl, faults, ts.Patterns)
+	res, err := gatesim.SimulateFaultsCtx(context.Background(), nl, faults, ts.Patterns, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range faults {
 		if (ts.DetectedAt[i] > 0) != (res.DetectedAt[i] > 0) {
-			t.Fatalf("fault %v: BuildTestSet says %d, reference says %d",
+			t.Fatalf("fault %v: BuildTestSetWorkersCtx says %d, reference says %d",
 				faults[i], ts.DetectedAt[i], res.DetectedAt[i])
 		}
 	}

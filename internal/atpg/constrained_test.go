@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"testing"
 
 	"defectsim/internal/fault"
@@ -77,8 +78,8 @@ func TestGenerateConstrainedInternalNets(t *testing.T) {
 		t.Fatalf("pattern %v must satisfy y = AND(a,b) = 1", pat)
 	}
 	// Verify with the reference simulator, both the fault and constraint.
-	res, err := gatesim.Simulate(nl, []fault.StuckAt{{Net: z, Branch: -1, Value: 0}},
-		[]gatesim.Pattern{pat})
+	res, err := gatesim.SimulateFaultsCtx(context.Background(), nl, []fault.StuckAt{{Net: z, Branch: -1, Value: 0}},
+		[]gatesim.Pattern{pat}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestCompactNRejectsBadN(t *testing.T) {
 func TestBuildNDetectTestSet(t *testing.T) {
 	nl := netlist.C432Class(1994)
 	faults := fault.StuckAtUniverse(nl)
-	base, err := BuildTestSet(nl, faults, 64, 1994, 2000)
+	base, err := BuildTestSetWorkersCtx(context.Background(), nl, faults, 64, 1994, 2000, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -159,7 +160,7 @@ func CompactN(nl *netlist.Netlist, faults []fault.StuckAt, patterns []gatesim.Pa
 		for i, fi := range remaining {
 			sub[i] = faults[fi]
 		}
-		res, err := gatesim.Simulate(nl, sub, patterns[k:k+1])
+		res, err := gatesim.SimulateFaultsCtx(context.Background(), nl, sub, patterns[k:k+1], 0, nil)
 		if err != nil {
 			return nil, err
 		}

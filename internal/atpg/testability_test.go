@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestCompactPreservesCoverage(t *testing.T) {
 	nl := netlist.C432Class(21)
 	faults := fault.StuckAtUniverse(nl)
 	pats := gatesim.RandomPatterns(nl, 256, 8)
-	before, err := gatesim.Simulate(nl, faults, pats)
+	before, err := gatesim.SimulateFaultsCtx(context.Background(), nl, faults, pats, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestCompactPreservesCoverage(t *testing.T) {
 	if len(compacted) >= len(pats) {
 		t.Fatalf("compaction removed nothing: %d of %d", len(compacted), len(pats))
 	}
-	after, err := gatesim.Simulate(nl, faults, compacted)
+	after, err := gatesim.SimulateFaultsCtx(context.Background(), nl, faults, compacted, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

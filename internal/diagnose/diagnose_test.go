@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"context"
 	"testing"
 
 	"defectsim/internal/fault"
@@ -128,7 +129,7 @@ func TestSignaturesConsistentWithSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gatesim.Simulate(nl, faults, pats)
+	res, err := gatesim.SimulateFaultsCtx(context.Background(), nl, faults, pats, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

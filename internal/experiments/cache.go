@@ -10,15 +10,10 @@ import (
 	"os"
 
 	"defectsim/internal/atpg"
-	"defectsim/internal/coverage"
-	"defectsim/internal/extract"
-	"defectsim/internal/fault"
 	"defectsim/internal/gatesim"
-	"defectsim/internal/layout"
 	"defectsim/internal/netlist"
 	"defectsim/internal/store"
 	"defectsim/internal/switchsim"
-	"defectsim/internal/transistor"
 )
 
 // cacheFile is the serialized form of a pipeline's expensive simulation
@@ -26,9 +21,10 @@ import (
 // fault universes) is deterministic and cheap to rebuild, so only the
 // vectors and detection data are stored. The payload is sealed in the
 // store's checksummed envelope (store.Seal); an entry that fails
-// store.Open or carries the wrong version is treated as corrupt: the
-// caller falls back to a fresh run and the event is recorded (never an
-// error — the cache is an optimization, not a source of truth).
+// store.Open, carries the wrong version or fails the restore checks is
+// treated as corrupt: the caller falls back to a fresh run and the event
+// is recorded (never an error — the cache is an optimization, not a
+// source of truth).
 type cacheFile struct {
 	Circuit      string      `json:"circuit"`
 	Config       cacheConfig `json:"config"`
@@ -149,24 +145,19 @@ func (p *Pipeline) EncodeCache() ([]byte, error) {
 	return store.Seal(cacheVersion, payload)
 }
 
-// RunCached behaves like Run but reuses the simulation results stored at
-// path when they match the circuit and configuration, rebuilding only the
-// cheap deterministic artifacts. On a cache miss it runs the full pipeline
-// and refreshes the file through store.AtomicWrite, so a crash or a
-// concurrent reader never observes a truncated cache. With cfg.Obs set, a
-// cache hit still produces a run report (spanning the rebuild stages,
-// flagged CacheHit) so a traced run always explains where its results
-// came from.
-func RunCached(nl *netlist.Netlist, cfg Config, path string) (*Pipeline, bool, error) {
-	return RunCachedCtx(context.Background(), nl, cfg, path)
-}
-
-// RunCachedCtx is RunCached under a context (see RunCtx for cancellation
-// and budget semantics). Cache corruption — an unreadable, truncated,
-// checksum-mismatched or version-skewed file — never fails the call: the
-// pipeline runs fresh, the file is rewritten, and the fallback is
-// recorded as a pipeline_cache_corrupt metric and a "cache" Degradation.
-// A failed cache write degrades the same way instead of erroring.
+// RunCachedCtx runs the pipeline like RunCtx but reuses the simulation
+// results stored at path when they match the circuit and configuration,
+// rebuilding only the deterministic front end. On a cache miss it runs the
+// full pipeline and refreshes the file through store.AtomicWrite, so a
+// crash or a concurrent reader never observes a truncated cache. With
+// cfg.Obs set, a cache hit produces the same run report as a fresh run,
+// with cache-load in place of atpg and switch-sim and flagged CacheHit, so
+// a traced run always explains where its results came from. Cache
+// corruption — an unreadable, truncated, checksum-mismatched,
+// version-skewed or inconsistent file — never fails the call: the
+// pipeline runs fresh, the file is rewritten, and the fallback is recorded
+// as a pipeline_cache_corrupt metric and a "cache" Degradation. A failed
+// cache write degrades the same way instead of erroring.
 func RunCachedCtx(ctx context.Context, nl *netlist.Netlist, cfg Config, path string) (*Pipeline, bool, error) {
 	return RunStoredCtx(ctx, nl, cfg, fileStore{path: path})
 }
@@ -177,33 +168,39 @@ func RunCachedCtx(ctx context.Context, nl *netlist.Netlist, cfg Config, path str
 // The degradation contract is identical: a corrupt or unreadable entry
 // falls back to a fresh run (pipeline_cache_corrupt + "cache"
 // Degradation), a failed write degrades instead of erroring, and a
-// result-degraded run is never persisted to any backend.
+// result-degraded run is never persisted to any backend. An entry that
+// only fails the restore checks after the front end falls back within
+// the same run: atpg and switch-sim follow the front end already built.
 func RunStoredCtx(ctx context.Context, nl *netlist.Netlist, cfg Config, st store.Store) (*Pipeline, bool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
 	reg := cfg.Obs.Metrics()
 	key := CacheKey(nl.Name, cfg)
-	var corrupt string
+	var cf *cacheFile
+	corrupt := ""
+	fallback := func(reason string) {
+		// Counted before the run report is taken, so the fallback shows up
+		// in it.
+		reg.Counter("pipeline_cache_corrupt").Inc()
+		corrupt = reason
+	}
 	switch data, err := st.Get(ctx, key); {
 	case err == nil:
-		p, ok, c := decodeCache(ctx, nl, cfg, data)
-		if ok {
-			return p, true, nil
+		if cf, err = openCache(nl, cfg, data); err != nil && !errors.Is(err, errCacheMismatch) {
+			fallback(err.Error())
 		}
-		corrupt = c
 	case errors.Is(err, store.ErrNotFound):
 		// Ordinary miss.
 	default:
-		corrupt = fmt.Sprintf("store %s get failed: %v", st.Name(), err)
+		fallback(fmt.Sprintf("store %s get failed: %v", st.Name(), err))
 	}
-	if corrupt != "" {
-		// Count before the run so the fallback shows up in the run report.
-		reg.Counter("pipeline_cache_corrupt").Inc()
-	}
-	p, err := RunCtx(ctx, nl, cfg)
+	p, hit, err := run(ctx, nl, cfg, cf, fallback)
 	if err != nil {
 		return nil, false, err
+	}
+	if hit {
+		return p, true, nil
 	}
 	degradeCache := func(reason string) {
 		p.Degradations = append(p.Degradations, Degradation{Stage: "cache", Reason: reason})
@@ -276,78 +273,88 @@ func (f fileStore) Stat(_ context.Context, _ string) (bool, error) {
 
 // DecodeCached rebuilds a pipeline from envelope bytes fetched out of a
 // store backend — the forwarding path uses it to adopt a result computed
-// by the key's ring owner. Unlike the cache-miss path it returns an
-// error rather than silently falling back: the caller explicitly fetched
-// these bytes and needs to know why they were unusable.
+// by the key's ring owner. It runs the same stages as a store hit. Unlike
+// the cache-miss path it returns an error rather than silently falling
+// back: the caller explicitly fetched these bytes and needs to know why
+// they were unusable.
 func DecodeCached(ctx context.Context, nl *netlist.Netlist, cfg Config, data []byte) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p, ok, corrupt := decodeCache(ctx, nl, cfg, data)
-	if ok {
-		return p, nil
+	cf, err := openCache(nl, cfg, data)
+	if err == nil {
+		var p *Pipeline
+		if p, _, err = run(ctx, nl, cfg, cf, nil); err == nil {
+			return p, nil
+		}
 	}
-	if corrupt == "" {
-		corrupt = "envelope does not match this circuit/config (different cache key?)"
-	}
-	return nil, fmt.Errorf("experiments: decode cached result: %s", corrupt)
+	return nil, fmt.Errorf("experiments: decode cached result: %w", err)
 }
 
-// decodeCache attempts a cache hit from envelope bytes. The corrupt
-// return is non-empty when the bytes are unusable (parse failure,
-// checksum mismatch, version skew); a clean circuit/config mismatch is an
-// ordinary miss with corrupt == "".
-func decodeCache(ctx context.Context, nl *netlist.Netlist, cfg Config, data []byte) (p *Pipeline, ok bool, corrupt string) {
+// errCacheMismatch marks an intact entry for another circuit or config:
+// an ordinary miss, not corruption.
+var errCacheMismatch = errors.New("envelope does not match this circuit/config (different cache key?)")
+
+// openCache verifies and parses envelope bytes (store.Open, the version
+// check, the payload) and matches them to the run's circuit and config.
+// Any error but errCacheMismatch means the bytes are unusable.
+func openCache(nl *netlist.Netlist, cfg Config, data []byte) (*cacheFile, error) {
 	version, payload, err := store.Open(data)
 	if err != nil {
-		return nil, false, err.Error()
+		return nil, err
 	}
 	if version != cacheVersion {
-		return nil, false, fmt.Sprintf("cache envelope has version %d, want %d", version, cacheVersion)
+		return nil, fmt.Errorf("cache envelope has version %d, want %d", version, cacheVersion)
 	}
 	var cf cacheFile
 	if err := json.Unmarshal(payload, &cf); err != nil {
-		return nil, false, fmt.Sprintf("cache payload does not parse: %v", err)
+		return nil, fmt.Errorf("cache payload does not parse: %v", err)
 	}
 	if cf.Circuit != nl.Name || cf.Config != digestConfig(cfg) {
-		return nil, false, "" // ordinary miss: different circuit or config
+		return nil, errCacheMismatch
+	}
+	return &cf, nil
+}
+
+// restore is the cache-load stage: it installs the payload's simulation
+// results on p, whose front end has just been rebuilt. A payload whose
+// shapes disagree with that front end — slice lengths against the fault
+// lists, pattern widths or bits, the random-prefix count — is refused
+// before anything is installed: it would be served as complete and break
+// every later read of the result.
+func (cf *cacheFile) restore(p *Pipeline) error {
+	nf, ns, npi := len(p.Faults.Faults), len(p.StuckAt), len(p.Netlist.PIs)
+	for _, c := range []struct {
+		field     string
+		got, want int
+	}{
+		{"num_faults", cf.NumFaults, nf},
+		{"num_stuck_at", cf.NumStuckAt, ns},
+		{"len(sa_detected_at)", len(cf.SADetectedAt), ns},
+		{"len(untestable)", len(cf.Untestable), ns},
+		{"len(aborted)", len(cf.Aborted), ns},
+		{"len(sw_detected_at)", len(cf.SwDetectedAt), nf},
+		{"len(iddq_at)", len(cf.IDDQAt), nf},
+		{"len(undecided)", len(cf.Undecided), nf},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("cache payload inconsistent: %s = %d, the rebuilt pipeline needs %d", c.field, c.got, c.want)
+		}
+	}
+	for i, pat := range cf.Patterns {
+		if len(pat) != npi {
+			return fmt.Errorf("cache payload inconsistent: pattern %d has %d bits, the circuit has %d inputs", i, len(pat), npi)
+		}
+		for _, b := range pat {
+			if b > 1 {
+				return fmt.Errorf("cache payload inconsistent: pattern %d holds the value %d", i, b)
+			}
+		}
+	}
+	if cf.RandomCount < 0 || cf.RandomCount > len(cf.Patterns) {
+		return fmt.Errorf("cache payload inconsistent: random_count %d for %d patterns", cf.RandomCount, len(cf.Patterns))
 	}
 
-	tr := cfg.Obs
-	reg := tr.Metrics()
-	load := tr.StartSpan("cache-load")
-	p = &Pipeline{Config: cfg, Netlist: nl}
-	sp := tr.StartSpan("layout")
-	p.Layout, err = layout.BuildCtx(ctx, nl, nil)
-	sp.End()
-	if err != nil {
-		load.End()
-		return nil, false, ""
-	}
-	sp = tr.StartSpan("extract")
-	p.Faults, err = extract.FaultsCtx(ctx, p.Layout, cfg.Stats, reg)
-	sp.End()
-	if err != nil {
-		load.End()
-		return nil, false, ""
-	}
-	if cfg.TargetYield > 0 && len(p.Faults.Faults) > 0 {
-		p.Faults.ScaleToYield(cfg.TargetYield)
-	}
-	p.Yield = p.Faults.Yield()
-	reg.Gauge("pipeline_yield").Set(p.Yield)
-	sp = tr.StartSpan("transistor-map")
-	p.Circuit = transistor.FromLayout(p.Layout)
-	sp.End()
-	sp = tr.StartSpan("stuckat-collapse")
-	p.StuckAt = fault.StuckAtUniverse(nl)
-	sp.End()
-	if len(p.Faults.Faults) != cf.NumFaults || len(p.StuckAt) != cf.NumStuckAt ||
-		len(cf.SwDetectedAt) != cf.NumFaults || len(cf.SADetectedAt) != cf.NumStuckAt ||
-		len(cf.Undecided) != cf.NumFaults {
-		load.End()
-		return nil, false, "" // stale cache from an older code version
-	}
 	p.TestSet = &atpg.TestSet{
 		RandomCount: cf.RandomCount,
 		DetectedAt:  cf.SADetectedAt,
@@ -385,16 +392,8 @@ func decodeCache(ctx context.Context, nl *netlist.Netlist, cfg Config, data []by
 		}
 		if valid && tr.Complete() {
 			p.goodTrace = tr
-			reg.Gauge("swsim_goodtrace_bytes").Set(float64(tr.Bytes()))
+			p.Config.Obs.Metrics().Gauge("swsim_goodtrace_bytes").Set(float64(tr.Bytes()))
 		}
 	}
-	p.Ks = coverage.SampleKs(len(p.TestSet.Patterns), 8)
-	if tr != nil {
-		reg.Counter("pipeline_cache_hits").Inc()
-		reg.Counter("pipeline_vectors").Add(int64(len(p.TestSet.Patterns)))
-		load.End()
-		p.Report = tr.Report(nl.Name)
-		p.Report.CacheHit = true
-	}
-	return p, true, ""
+	return nil
 }

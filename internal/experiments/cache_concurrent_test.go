@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -55,18 +56,21 @@ func TestConcurrentCacheSamePath(t *testing.T) {
 	}
 
 	// Whatever won the last write must be a clean, loadable cache for its
-	// own config. Probe the file's bytes with decodeCache directly — a
+	// own config. Probe the file's bytes with DecodeCached directly — a
 	// RunCachedCtx miss would overwrite the file and mask which config
 	// actually won.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pA, hitA, corruptA := decodeCache(context.Background(), nl, cfgA, data)
-	pB, hitB, corruptB := decodeCache(context.Background(), nl, cfgB, data)
-	if corruptA != "" || corruptB != "" {
-		t.Fatalf("file left behind is corrupt: %q / %q", corruptA, corruptB)
+	pA, errA := DecodeCached(context.Background(), nl, cfgA, data)
+	pB, errB := DecodeCached(context.Background(), nl, cfgB, data)
+	for _, err := range []error{errA, errB} {
+		if err != nil && !errors.Is(err, errCacheMismatch) {
+			t.Fatalf("file left behind is corrupt: %v", err)
+		}
 	}
+	hitA, hitB := errA == nil, errB == nil
 	if !hitA && !hitB {
 		t.Fatal("file left behind is a hit for neither config")
 	}

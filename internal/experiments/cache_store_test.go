@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -16,12 +19,12 @@ import (
 
 // TestSaveEnvelopeIsStoreCompatible pins the wire contract between the
 // experiments cache and the store layer: every byte stream EncodeCache
-// produces, and the cache file RunCached writes, must pass
+// produces, and the cache file RunCachedCtx writes, must pass
 // store.VerifyEnvelope, or remote peers would reject locally-valid
 // results.
 func TestSaveEnvelopeIsStoreCompatible(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.json")
-	p, _, err := RunCached(netlist.C17(), smallConfig(), path)
+	p, _, err := RunCachedCtx(context.Background(), netlist.C17(), smallConfig(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestSaveEnvelopeIsStoreCompatible(t *testing.T) {
 func TestSaveCrashBeforeRenameKeepsOldCache(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.json")
 	cfg := smallConfig()
-	p, _, err := RunCached(netlist.C17(), cfg, path)
+	p, _, err := RunCachedCtx(context.Background(), netlist.C17(), cfg, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,7 @@ func TestRunCachedTruncatedMidEnvelope(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.json")
 	cfg := smallConfig()
 	nl := netlist.C17()
-	if _, _, err := RunCached(nl, cfg, path); err != nil {
+	if _, _, err := RunCachedCtx(context.Background(), nl, cfg, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -129,14 +132,15 @@ func TestRunCachedTruncatedMidEnvelope(t *testing.T) {
 		t.Fatalf("fresh run did not rewrite a valid cache file (err=%v)", err)
 	}
 	cfg2 := smallConfig()
-	if _, hit, err := RunCached(nl, cfg2, path); err != nil || !hit {
+	if _, hit, err := RunCachedCtx(context.Background(), nl, cfg2, path); err != nil || !hit {
 		t.Fatalf("refreshed cache must hit (hit=%v err=%v)", hit, err)
 	}
 }
 
 // TestRunStoredRoundTrip exercises the store-backed engine against the
 // FS backend: miss → run → persisted under the circuit's CacheKey; a
-// second call is a hit with identical simulation results.
+// second call is a hit, and the hit and the forward-path decoder both
+// rebuild the cold run bit for bit.
 func TestRunStoredRoundTrip(t *testing.T) {
 	fs, err := store.NewFS(t.TempDir(), nil)
 	if err != nil {
@@ -158,9 +162,7 @@ func TestRunStoredRoundTrip(t *testing.T) {
 	if err != nil || !hit {
 		t.Fatalf("second RunStoredCtx: hit=%v err=%v", hit, err)
 	}
-	if len(p1.TestSet.Patterns) != len(p2.TestSet.Patterns) || p1.Yield != p2.Yield {
-		t.Fatal("stored hit differs from the original run")
-	}
+	assertSameRun(t, "stored hit", p1, p2)
 
 	// The persisted envelope round-trips through the forward-path decoder.
 	data, err := fs.Get(ctx, key)
@@ -171,14 +173,150 @@ func TestRunStoredRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p3.TestSet.Patterns) != len(p1.TestSet.Patterns) {
-		t.Fatal("DecodeCached differs from the original run")
-	}
+	assertSameRun(t, "DecodeCached", p1, p3)
 	// And the decoder refuses bytes for a different config.
 	other := cfg
 	other.Seed++
 	if _, err := DecodeCached(ctx, netlist.C17(), other, data); err == nil {
 		t.Fatal("DecodeCached accepted an envelope for a different config")
+	}
+}
+
+// assertSameRun pins a pipeline rebuilt from the result store against the
+// cold run that stored it: equal envelope bytes and deeply equal
+// artifacts. The layout is left out: its metal1 shapes come out in map
+// order, so two builds of one netlist differ in shape order (the
+// extracted faults do not).
+func assertSameRun(t *testing.T, what string, cold, got *Pipeline) {
+	t.Helper()
+	want, err := cold.EncodeCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := got.EncodeCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, want) {
+		t.Errorf("%s: EncodeCache bytes differ from the cold run's", what)
+	}
+	for _, c := range []struct {
+		field     string
+		got, want any
+	}{
+		{"Faults", got.Faults, cold.Faults},
+		{"StuckAt", got.StuckAt, cold.StuckAt},
+		{"Circuit", got.Circuit, cold.Circuit},
+		{"TestSet", got.TestSet, cold.TestSet},
+		{"SwitchRes", got.SwitchRes, cold.SwitchRes},
+		{"Ks", got.Ks, cold.Ks},
+		{"Yield", got.Yield, cold.Yield},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s: %s differs from the cold run", what, c.field)
+		}
+	}
+}
+
+// reseal rewrites the payload of a cache envelope through mutate and seals
+// it again: the checksum verifies, whatever the contents now say.
+func reseal(t testing.TB, env []byte, mutate func(cf *cacheFile)) []byte {
+	t.Helper()
+	_, payload, err := store.Open(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cf cacheFile
+	if err := json.Unmarshal(payload, &cf); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&cf)
+	if payload, err = json.Marshal(&cf); err != nil {
+		t.Fatal(err)
+	}
+	out, err := store.Seal(cacheVersion, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// inconsistentPayloads are checksum-valid payloads whose contents
+// disagree with the pipeline the front end rebuilds.
+var inconsistentPayloads = []struct {
+	name   string
+	mutate func(cf *cacheFile)
+}{
+	{"untestable empty", func(cf *cacheFile) { cf.Untestable = []bool{} }},
+	{"aborted short", func(cf *cacheFile) { cf.Aborted = cf.Aborted[1:] }},
+	{"iddq_at long", func(cf *cacheFile) { cf.IDDQAt = append(cf.IDDQAt, 1) }},
+	{"sa_detected_at short", func(cf *cacheFile) { cf.SADetectedAt = cf.SADetectedAt[1:] }},
+	{"sw_detected_at long", func(cf *cacheFile) { cf.SwDetectedAt = append(cf.SwDetectedAt, 1) }},
+	{"undecided empty", func(cf *cacheFile) { cf.Undecided = []bool{} }},
+	{"fault lists of another build", func(cf *cacheFile) {
+		cf.NumFaults++
+		cf.SwDetectedAt = append(cf.SwDetectedAt, 0)
+		cf.IDDQAt = append(cf.IDDQAt, 0)
+		cf.Undecided = append(cf.Undecided, false)
+	}},
+	{"num_stuck_at off", func(cf *cacheFile) { cf.NumStuckAt-- }},
+	{"pattern narrow", func(cf *cacheFile) { cf.Patterns[0] = cf.Patterns[0][1:] }},
+	{"pattern wide", func(cf *cacheFile) {
+		last := len(cf.Patterns) - 1
+		cf.Patterns[last] = append(cf.Patterns[last], 0)
+	}},
+	{"pattern bit not 0/1", func(cf *cacheFile) { cf.Patterns[0][0] = 2 }},
+	{"random_count over patterns", func(cf *cacheFile) { cf.RandomCount = len(cf.Patterns) + 1 }},
+	{"random_count negative", func(cf *cacheFile) { cf.RandomCount = -1 }},
+}
+
+// TestInconsistentPayloadIsCorrupt pins the restore checks: an envelope
+// whose checksum verifies but whose contents disagree with the rebuilt
+// front end is never served. DecodeCached returns an error; RunStoredCtx
+// counts the entry corrupt, records a "cache" degradation, and the fresh
+// run rewrites the entry with the cold run's bytes.
+func TestInconsistentPayloadIsCorrupt(t *testing.T) {
+	ctx := context.Background()
+	cfg := smallConfig()
+	cold, err := RunCtx(ctx, netlist.C17(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := cold.EncodeCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CacheKey("c17", cfg)
+	for _, tc := range inconsistentPayloads {
+		t.Run(tc.name, func(t *testing.T) {
+			poisoned := reseal(t, env, tc.mutate)
+			if _, err := DecodeCached(ctx, netlist.C17(), cfg, poisoned); err == nil {
+				t.Fatal("DecodeCached accepted an inconsistent payload")
+			}
+
+			fs, err := store.NewFS(t.TempDir(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Put(ctx, key, poisoned); err != nil {
+				t.Fatal(err)
+			}
+			c := cfg
+			c.Obs = obs.New()
+			p, hit, err := RunStoredCtx(ctx, netlist.C17(), c, fs)
+			if err != nil || hit {
+				t.Fatalf("RunStoredCtx: hit=%v err=%v", hit, err)
+			}
+			if got := c.Obs.Metrics().Counter("pipeline_cache_corrupt").Value(); got != 1 {
+				t.Fatalf("pipeline_cache_corrupt = %d, want 1", got)
+			}
+			if len(p.Degradations) != 1 || p.Degradations[0].Stage != "cache" {
+				t.Fatalf("degradations = %+v, want one cache fallback", p.Degradations)
+			}
+			if got, err := fs.Get(ctx, key); err != nil || !bytes.Equal(got, env) {
+				t.Fatalf("fresh run did not rewrite the entry with the cold run's bytes (err=%v)", err)
+			}
+		})
 	}
 }
 
@@ -210,4 +348,54 @@ func TestRunStoredDegradedNotPersisted(t *testing.T) {
 	if got := cfg.Obs.Metrics().Counter("pipeline_cache_save_skipped_degraded").Value(); got != 1 {
 		t.Fatalf("pipeline_cache_save_skipped_degraded = %d, want 1", got)
 	}
+}
+
+// FuzzDecodeCached fuzzes the restore behind every store hit. The fuzzed
+// bytes are a cache payload, sealed so the checksum always verifies: on
+// c17, DecodeCached must either refuse the payload or return a pipeline
+// whose every read of the result works. A short random prefix keeps the
+// payloads small, so minimizing an input (each valid one reruns the c17
+// front end) stays cheap.
+func FuzzDecodeCached(f *testing.F) {
+	ctx := context.Background()
+	cfg := smallConfig()
+	cfg.RandomVectors = 8
+	cold, err := RunCtx(ctx, netlist.C17(), cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	env, err := cold.EncodeCache()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]byte{env}
+	for _, tc := range inconsistentPayloads {
+		seeds = append(seeds, reseal(f, env, tc.mutate))
+	}
+	for _, seed := range seeds {
+		_, payload, err := store.Open(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		data, err := store.Seal(cacheVersion, payload)
+		if err != nil {
+			return // not JSON: the envelope cannot carry it
+		}
+		p, err := DecodeCached(ctx, netlist.C17(), cfg, data)
+		if err != nil {
+			return
+		}
+		p.TestSet.Coverage(true)
+		p.TestSet.Counts()
+		p.ThetaCurve(true)
+		p.GammaCurve()
+		for _, k := range []int{0, 1, len(p.TestSet.Patterns), len(p.TestSet.Patterns) + 1} {
+			p.SwitchRes.DetectedBy(k, true)
+		}
+		Figure5(p)
+		_ = p.Summary()
+	})
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,7 +18,7 @@ func TestRunCachedRoundTrip(t *testing.T) {
 	nl := netlist.RippleAdder(3)
 	cfg := smallConfig()
 
-	p1, hit, err := RunCached(nl, cfg, path)
+	p1, hit, err := RunCachedCtx(context.Background(), nl, cfg, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestRunCachedRoundTrip(t *testing.T) {
 		t.Fatal("cache file missing")
 	}
 
-	p2, hit, err := RunCached(netlist.RippleAdder(3), cfg, path)
+	p2, hit, err := RunCachedCtx(context.Background(), netlist.RippleAdder(3), cfg, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +59,16 @@ func TestRunCachedRoundTrip(t *testing.T) {
 	if f1.Fitted != f2.Fitted {
 		t.Fatalf("fit differs: %+v vs %+v", f1.Fitted, f2.Fitted)
 	}
+	assertSameRun(t, "cache hit", p1, p2)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p3, err := DecodeCached(context.Background(), netlist.RippleAdder(3), cfg, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRun(t, "DecodeCached", p1, p3)
 }
 
 // TestRunCachedDegradedNotSaved pins the cache-poisoning guard: a run cut
@@ -77,7 +88,7 @@ func TestRunCachedDegradedNotSaved(t *testing.T) {
 	cfg.Obs = obs.New()
 	cfg.StageBudgets = map[string]time.Duration{"atpg": 20 * time.Millisecond}
 
-	p, hit, err := RunCached(netlist.C17(), cfg, path)
+	p, hit, err := RunCachedCtx(context.Background(), netlist.C17(), cfg, path)
 	if err != nil {
 		t.Fatalf("budget exhaustion must degrade, not fail: %v", err)
 	}
@@ -105,7 +116,7 @@ func TestRunCachedDegradedNotSaved(t *testing.T) {
 	cfg2 := smallConfig()
 	cfg2.RandomVectors = 0
 	cfg2.Obs = obs.New()
-	p2, hit, err := RunCached(netlist.C17(), cfg2, path)
+	p2, hit, err := RunCachedCtx(context.Background(), netlist.C17(), cfg2, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +131,7 @@ func TestRunCachedDegradedNotSaved(t *testing.T) {
 	}
 
 	// And the populated cache now serves complete, undegraded hits.
-	p3, hit, err := RunCached(netlist.C17(), cfg2, path)
+	p3, hit, err := RunCachedCtx(context.Background(), netlist.C17(), cfg2, path)
 	if err != nil || !hit {
 		t.Fatalf("complete-run cache must hit (hit=%v err=%v)", hit, err)
 	}
@@ -137,27 +148,27 @@ func TestRunCachedInvalidation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cache.json")
 	cfg := smallConfig()
-	if _, _, err := RunCached(netlist.RippleAdder(3), cfg, path); err != nil {
+	if _, _, err := RunCachedCtx(context.Background(), netlist.RippleAdder(3), cfg, path); err != nil {
 		t.Fatal(err)
 	}
 	// Different circuit: miss.
-	if _, hit, err := RunCached(netlist.MuxTree(2), cfg, path); err != nil || hit {
+	if _, hit, err := RunCachedCtx(context.Background(), netlist.MuxTree(2), cfg, path); err != nil || hit {
 		t.Fatalf("different circuit must miss (hit=%v err=%v)", hit, err)
 	}
 	// Different config: miss.
 	cfg2 := cfg
 	cfg2.Seed++
-	if _, hit, err := RunCached(netlist.MuxTree(2), cfg2, path); err != nil || hit {
+	if _, hit, err := RunCachedCtx(context.Background(), netlist.MuxTree(2), cfg2, path); err != nil || hit {
 		t.Fatal("different config must miss")
 	}
 	// Corrupt file: miss, then refreshed.
 	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, err := RunCached(netlist.RippleAdder(3), cfg, path); err != nil || hit {
+	if _, hit, err := RunCachedCtx(context.Background(), netlist.RippleAdder(3), cfg, path); err != nil || hit {
 		t.Fatal("corrupt cache must miss")
 	}
-	if _, hit, err := RunCached(netlist.RippleAdder(3), cfg, path); err != nil || !hit {
+	if _, hit, err := RunCachedCtx(context.Background(), netlist.RippleAdder(3), cfg, path); err != nil || !hit {
 		t.Fatal("refreshed cache must hit")
 	}
 }

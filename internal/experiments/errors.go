@@ -13,7 +13,7 @@ import (
 // see how far the pipeline got.
 type PipelineError struct {
 	// Stage is the pipeline stage that failed — one of StageNames, or
-	// "cache" for cache-layer failures.
+	// "cache-load" when DecodeCached's payload fails the restore checks.
 	Stage string
 	// Err is the underlying cause. Panics inside a stage are converted to
 	// errors carrying the panic value and stack.

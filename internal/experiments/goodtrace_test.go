@@ -74,14 +74,14 @@ func TestCacheRestoresGoodTrace(t *testing.T) {
 	nl := netlist.RippleAdder(3)
 	cfg := smallConfig()
 
-	p1, hit, err := RunCached(nl, cfg, path)
+	p1, hit, err := RunCachedCtx(context.Background(), nl, cfg, path)
 	if err != nil || hit {
 		t.Fatalf("seed run: hit=%v err=%v", hit, err)
 	}
 
 	cfg2 := smallConfig()
 	cfg2.Obs = obs.New()
-	p2, hit, err := RunCached(netlist.RippleAdder(3), cfg2, path)
+	p2, hit, err := RunCachedCtx(context.Background(), netlist.RippleAdder(3), cfg2, path)
 	if err != nil || !hit {
 		t.Fatalf("second run: hit=%v err=%v", hit, err)
 	}

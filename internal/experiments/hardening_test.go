@@ -325,7 +325,7 @@ func TestRunCachedCorruptionFallback(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cache.json")
 
-	if _, _, err := RunCached(nl, cfg, path); err != nil {
+	if _, _, err := RunCachedCtx(context.Background(), nl, cfg, path); err != nil {
 		t.Fatal(err)
 	}
 	healthy, err := os.ReadFile(path)
@@ -405,7 +405,7 @@ func TestRunCachedCorruptionFallback(t *testing.T) {
 				t.Fatalf("pipeline_cache_corrupt = %d, want 1", counters["pipeline_cache_corrupt"])
 			}
 			// The rewrite restored a healthy cache.
-			if _, hit, err := RunCached(nl, cfg, path); err != nil || !hit {
+			if _, hit, err := RunCachedCtx(context.Background(), nl, cfg, path); err != nil || !hit {
 				t.Fatalf("refreshed cache must hit (hit=%v err=%v)", hit, err)
 			}
 		})

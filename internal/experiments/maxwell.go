@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"defectsim/internal/atpg"
@@ -48,7 +49,7 @@ func RunMaxwellAitken(p *Pipeline) (*MaxwellAitkenStudy, error) {
 		}
 		vectors[i] = v
 	}
-	res, err := switchsim.SimulateFaults(p.Circuit, p.Faults, vectors)
+	res, err := switchsim.SimulateFaultsCtx(context.Background(), p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, nil)
 	if err != nil {
 		return nil, err
 	}

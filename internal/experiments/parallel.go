@@ -117,13 +117,8 @@ func StandardStudies() []Study {
 
 // RunStudies executes the studies on a bounded worker pool (workers <= 0
 // selects runtime.NumCPU()) and returns the rendered artifacts in input
-// order — the paper's evaluation as a concurrent experiment suite. The
-// netlist's lazily built driver index is primed up front so the shared
-// read-only Pipeline stays race-free across workers.
+// order — the paper's evaluation as a concurrent experiment suite.
 func RunStudies(ctx context.Context, p *Pipeline, studies []Study, workers int) ([]string, error) {
-	if p.Netlist != nil && p.Netlist.NumNets() > 0 {
-		p.Netlist.Driver(0)
-	}
 	out := make([]string, len(studies))
 	err := forEach(ctx, workers, len(studies), func(i int) error {
 		s, err := studies[i].Run(ctx, p)

@@ -42,7 +42,8 @@ import (
 
 // StageNames lists the pipeline stages in execution order — the valid
 // keys of Config.StageBudgets and the stage labels of spans, PipelineError
-// and Degradation records.
+// and Degradation records. A store hit runs "cache-load" in place of atpg
+// and switch-sim; it takes no budget of its own.
 var StageNames = []string{
 	"layout", "lvs", "extract", "scale-weights", "transistor-map",
 	"stuckat-collapse", "atpg", "switch-sim", "curves",
@@ -334,6 +335,19 @@ func RunCtx(ctx context.Context, nl *netlist.Netlist, cfg Config) (*Pipeline, er
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	p, _, err := run(ctx, nl, cfg, nil, nil)
+	return p, err
+}
+
+// run executes the pipeline stages under the hardening policy. The
+// deterministic front end (layout through stuckat-collapse) always runs.
+// With cf set, a cache-load stage then restores the simulation results
+// from the stored payload in place of atpg and switch-sim, and hit
+// reports it (the run report is flagged CacheHit). A payload that fails
+// the restore checks fails the run at cache-load, unless fallback is set:
+// then fallback receives the reason and the run computes the results
+// itself.
+func run(ctx context.Context, nl *netlist.Netlist, cfg Config, cf *cacheFile, fallback func(reason string)) (_ *Pipeline, hit bool, _ error) {
 	if cfg.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
@@ -346,11 +360,12 @@ func RunCtx(ctx context.Context, nl *netlist.Netlist, cfg Config) (*Pipeline, er
 		ctx: ctx, cfg: cfg, tr: tr, reg: reg, p: p,
 		stageSec: reg.HistogramVec("pipeline_stage_seconds", StageSecondsBuckets, "stage"),
 	}
-	run := tr.StartSpan("pipeline")
+	root := tr.StartSpan("pipeline")
 	defer func() {
-		run.End()
+		root.End()
 		if tr != nil {
 			p.Report = tr.Report(nl.Name)
+			p.Report.CacheHit = hit
 			for _, d := range p.Degradations {
 				p.Report.Events = append(p.Report.Events, d.String())
 			}
@@ -362,13 +377,13 @@ func RunCtx(ctx context.Context, nl *netlist.Netlist, cfg Config) (*Pipeline, er
 		p.Layout, err = layout.BuildCtx(ctx, nl, nil)
 		return err
 	}); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	if err := r.stage("lvs", func(ctx context.Context) error {
 		return extract.VerifyLVS(p.Layout)
 	}); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	if err := r.stage("extract", func(ctx context.Context) error {
@@ -382,7 +397,7 @@ func RunCtx(ctx context.Context, nl *netlist.Netlist, cfg Config) (*Pipeline, er
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	if err := r.stage("scale-weights", func(ctx context.Context) error {
@@ -393,67 +408,86 @@ func RunCtx(ctx context.Context, nl *netlist.Netlist, cfg Config) (*Pipeline, er
 		reg.Gauge("pipeline_yield").Set(p.Yield)
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	if err := r.stage("transistor-map", func(ctx context.Context) error {
 		p.Circuit = transistor.FromLayout(p.Layout)
 		return p.Circuit.Validate()
 	}); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	if err := r.stage("stuckat-collapse", func(ctx context.Context) error {
 		p.StuckAt = fault.StuckAtUniverse(nl)
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
-	if err := r.stage("atpg", func(ctx context.Context) error {
-		ts, err := atpg.BuildTestSetWorkersCtx(ctx, nl, p.StuckAt, cfg.RandomVectors, uint64(cfg.Seed), cfg.BacktrackLimit, cfg.Workers, tr)
-		p.TestSet = ts
-		if err != nil && ts != nil && r.budgetExhausted(err) {
-			det, unt, ab := ts.Counts()
-			r.degrade("atpg", fmt.Sprintf(
-				"stage budget exhausted: partial test set with %d vectors (%d detected, %d untestable, %d aborted faults)",
-				len(ts.Patterns), det, unt, ab))
-			return nil
-		}
-		return err
-	}); err != nil {
-		return nil, err
-	}
-
-	if err := r.stage("switch-sim", func(ctx context.Context) error {
-		vectors := p.Vectors()
-		// Capture mode: the good-machine trajectory this campaign steps
-		// through anyway is recorded and shared (via Pipeline.GoodTrace)
-		// with every downstream campaign on the same circuit and vectors.
-		res, trace, err := switchsim.SimulateFaultsCapture(ctx, p.Circuit, p.Faults, vectors, cfg.Workers, switchsim.BridgeG, reg)
-		p.SwitchRes = res
-		p.setGoodTrace(trace)
-		if err != nil && res != nil && r.budgetExhausted(err) {
-			r.degrade("switch-sim", fmt.Sprintf(
-				"stage budget exhausted after %d/%d vectors; %d faults undecided",
-				res.VectorsApplied, len(vectors), countTrue(res.Undecided)))
-			return nil
-		}
-		if err != nil {
+	if cf != nil {
+		if err := r.stage("cache-load", func(ctx context.Context) error {
+			err := cf.restore(p)
+			switch {
+			case err == nil:
+				hit = true
+				reg.Counter("pipeline_cache_hits").Inc()
+			case fallback != nil:
+				fallback(err.Error())
+				err = nil
+			}
 			return err
+		}); err != nil {
+			return nil, false, err
 		}
-		if res.GoodUnsettledAt > 0 {
-			r.degrade("switch-sim", fmt.Sprintf(
-				"fault-free machine failed to settle at vector %d; %d/%d vectors applied, %d faults undecided",
-				res.GoodUnsettledAt, res.VectorsApplied, len(vectors), countTrue(res.Undecided)))
+	}
+
+	if !hit {
+		if err := r.stage("atpg", func(ctx context.Context) error {
+			ts, err := atpg.BuildTestSetWorkersCtx(ctx, nl, p.StuckAt, cfg.RandomVectors, uint64(cfg.Seed), cfg.BacktrackLimit, cfg.Workers, tr)
+			p.TestSet = ts
+			if err != nil && ts != nil && r.budgetExhausted(err) {
+				det, unt, ab := ts.Counts()
+				r.degrade("atpg", fmt.Sprintf(
+					"stage budget exhausted: partial test set with %d vectors (%d detected, %d untestable, %d aborted faults)",
+					len(ts.Patterns), det, unt, ab))
+				return nil
+			}
+			return err
+		}); err != nil {
+			return nil, false, err
 		}
-		// Faults dropped as undecided by the oscillation-strike policy on a
-		// completed run are a circuit property, not a resource event: they
-		// surface through Result.Undecided and the swsim_faults_undecided
-		// counter (mirroring ATPG backtrack-limit aborts).
-		return nil
-	}); err != nil {
-		return nil, err
+
+		if err := r.stage("switch-sim", func(ctx context.Context) error {
+			vectors := p.Vectors()
+			// Capture mode: the good-machine trajectory this campaign steps
+			// through anyway is recorded and shared (via Pipeline.GoodTrace)
+			// with every downstream campaign on the same circuit and vectors.
+			res, trace, err := switchsim.SimulateFaultsCapture(ctx, p.Circuit, p.Faults, vectors, cfg.Workers, switchsim.BridgeG, reg)
+			p.SwitchRes = res
+			p.setGoodTrace(trace)
+			if err != nil && res != nil && r.budgetExhausted(err) {
+				r.degrade("switch-sim", fmt.Sprintf(
+					"stage budget exhausted after %d/%d vectors; %d faults undecided",
+					res.VectorsApplied, len(vectors), countTrue(res.Undecided)))
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if res.GoodUnsettledAt > 0 {
+				r.degrade("switch-sim", fmt.Sprintf(
+					"fault-free machine failed to settle at vector %d; %d/%d vectors applied, %d faults undecided",
+					res.GoodUnsettledAt, res.VectorsApplied, len(vectors), countTrue(res.Undecided)))
+			}
+			// Faults dropped as undecided by the oscillation-strike policy on a
+			// completed run are a circuit property, not a resource event: they
+			// surface through Result.Undecided and the swsim_faults_undecided
+			// counter (mirroring ATPG backtrack-limit aborts).
+			return nil
+		}); err != nil {
+			return nil, false, err
+		}
 	}
 
 	if err := r.stage("curves", func(ctx context.Context) error {
@@ -466,9 +500,9 @@ func RunCtx(ctx context.Context, nl *netlist.Netlist, cfg Config) (*Pipeline, er
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return p, nil
+	return p, hit, nil
 }
 
 func countTrue(bs []bool) int {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -74,7 +75,7 @@ func TestRandomCircuitSweep(t *testing.T) {
 
 			// (c) ATPG closes the coverage gap with verified patterns.
 			faults := fault.StuckAtUniverse(nl)
-			ts, err := atpg.BuildTestSet(nl, faults, 16, uint64(seed), 3000)
+			ts, err := atpg.BuildTestSetWorkersCtx(context.Background(), nl, faults, 16, uint64(seed), 3000, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +88,7 @@ func TestRandomCircuitSweep(t *testing.T) {
 			if cov := ts.Coverage(true); cov < 1.0 && aborted == 0 {
 				t.Fatalf("testable coverage %.4f with no aborts", cov)
 			}
-			res, err := gatesim.Simulate(nl, faults, ts.Patterns)
+			res, err := gatesim.SimulateFaultsCtx(context.Background(), nl, faults, ts.Patterns, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,13 +30,9 @@ type SuiteStudy struct {
 	Rows []SuiteRow
 }
 
-// RunSuite executes the pipeline for each circuit with the shared config.
-func RunSuite(circuits []*netlist.Netlist, cfg Config) (*SuiteStudy, error) {
-	return RunSuiteCtx(context.Background(), circuits, cfg)
-}
-
-// RunSuiteCtx is RunSuite under a context, with the independent circuit
-// pipelines running concurrently on a bounded worker pool (cfg.Workers;
+// RunSuiteCtx executes the pipeline for each circuit with the shared
+// config under a context, with the independent circuit pipelines running
+// concurrently on a bounded worker pool (cfg.Workers;
 // <= 0 selects runtime.NumCPU()). Every circuit runs the full hardened
 // pipeline — deadline, stage budgets and graceful degradation apply per
 // circuit — and the rows come back in input order, identical to a serial

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"context"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"defectsim/internal/netlist"
@@ -83,13 +86,13 @@ func TestRunCachedTracedHit(t *testing.T) {
 	cfg.RandomVectors = 16
 
 	// Prime the cache untraced.
-	if _, hit, err := RunCached(netlist.C17(), cfg, path); err != nil || hit {
+	if _, hit, err := RunCachedCtx(context.Background(), netlist.C17(), cfg, path); err != nil || hit {
 		t.Fatalf("prime: hit=%v err=%v", hit, err)
 	}
 
 	// A traced rerun must hit and still deliver a report flagged as such.
 	cfg.Obs = obs.New()
-	p, hit, err := RunCached(netlist.C17(), cfg, path)
+	p, hit, err := RunCachedCtx(context.Background(), netlist.C17(), cfg, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +102,63 @@ func TestRunCachedTracedHit(t *testing.T) {
 	if p.Report == nil || !p.Report.CacheHit {
 		t.Fatalf("cache hit must produce a CacheHit-flagged report, got %+v", p.Report)
 	}
-	if len(p.Report.Stages) != 1 || p.Report.Stages[0].Name != "cache-load" {
-		t.Fatalf("hit report should have a cache-load root, got %+v", p.Report.Stages)
-	}
+	front := []string{"layout", "lvs", "extract", "scale-weights", "transistor-map", "stuckat-collapse"}
+	assertStages(t, p.Report, append(front, "cache-load", "curves"))
 	counters := map[string]int64{}
 	for _, c := range p.Report.Counters {
 		counters[c.Name] = c.Value
 	}
 	if counters["pipeline_cache_hits"] != 1 {
 		t.Fatalf("pipeline_cache_hits = %d, want 1", counters["pipeline_cache_hits"])
+	}
+
+	// An entry that fails the restore checks falls back within the same
+	// run: the front end is built once, then atpg and switch-sim follow.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := reseal(t, data, func(cf *cacheFile) { cf.Untestable = []bool{} })
+	if err := os.WriteFile(path, poisoned, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Obs = obs.New()
+	p, hit, err = RunCachedCtx(context.Background(), netlist.C17(), cfg, path)
+	if err != nil || hit {
+		t.Fatalf("poisoned entry: hit=%v err=%v", hit, err)
+	}
+	if p.Report.CacheHit {
+		t.Fatal("fallback run report is flagged CacheHit")
+	}
+	assertStages(t, p.Report, append(front, "cache-load", "atpg", "switch-sim", "curves"))
+	var extracts func(ss []*obs.StageReport) int
+	extracts = func(ss []*obs.StageReport) int {
+		n := 0
+		for _, s := range ss {
+			if s.Name == "extract" {
+				n++
+			}
+			n += extracts(s.Children)
+		}
+		return n
+	}
+	if n := extracts(p.Report.Stages); n != 1 {
+		t.Fatalf("fallback run recorded %d extract spans, want 1", n)
+	}
+}
+
+// assertStages checks that rep has the single root "pipeline" with exactly
+// the given top-level stages, in order.
+func assertStages(t *testing.T, rep *obs.Report, want []string) {
+	t.Helper()
+	if len(rep.Stages) != 1 || rep.Stages[0].Name != "pipeline" {
+		t.Fatalf("want a single pipeline root stage, got %+v", rep.Stages)
+	}
+	var got []string
+	for _, c := range rep.Stages[0].Children {
+		got = append(got, c.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stages = %v, want %v", got, want)
 	}
 }

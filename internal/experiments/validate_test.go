@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestMaxwellAitkenStudy(t *testing.T) {
 }
 
 func TestSuiteStudy(t *testing.T) {
-	st, err := RunSuite([]*netlist.Netlist{
+	st, err := RunSuiteCtx(context.Background(), []*netlist.Netlist{
 		netlist.C17(),
 		netlist.RippleAdder(3),
 	}, smallConfig())

@@ -167,28 +167,6 @@ func (s *simulator) eval(piWords []uint64, f *fault.StuckAt) []uint64 {
 	return vals
 }
 
-// Simulate runs the stuck-at fault list against the pattern sequence with
-// fault dropping and returns first-detection indices.
-func Simulate(nl *netlist.Netlist, faults []fault.StuckAt, patterns []Pattern) (*Result, error) {
-	return SimulateObs(nl, faults, patterns, nil)
-}
-
-// SimulateObs is Simulate with metrics: per-run counts of 64-pattern
-// blocks, faulty-machine evaluations, activation-filter skips and fault
-// drops land in reg. Counters are accumulated locally and flushed once
-// per run, so a nil registry costs nothing on the hot path.
-func SimulateObs(nl *netlist.Netlist, faults []fault.StuckAt, patterns []Pattern, reg *obs.Registry) (*Result, error) {
-	return SimulateFaultsCtx(context.Background(), nl, faults, patterns, 0, reg)
-}
-
-// SimulateCtx is SimulateObs with cancellation: the context is checked
-// once per 64-pattern block, so a cancelled or expired context stops the
-// campaign promptly. On early stop it returns the partial result (first
-// detections recorded so far) together with the context's error.
-func SimulateCtx(ctx context.Context, nl *netlist.Netlist, faults []fault.StuckAt, patterns []Pattern, reg *obs.Registry) (*Result, error) {
-	return SimulateFaultsCtx(ctx, nl, faults, patterns, 0, reg)
-}
-
 // minFaultsPerWorker is the smallest live-fault shard worth a goroutine:
 // below it the block runs on fewer workers (down to the serial in-line
 // path), keeping tiny campaigns — like the one-pattern top-up simulations
@@ -287,8 +265,20 @@ func selectBit(x uint64, k int) int {
 	return bits.TrailingZeros64(x)
 }
 
-// SimulateFaultsCtx is the full engine: SimulateCtx with an explicit
-// worker count (<= 0 selects runtime.NumCPU(), mirroring
+// SimulateFaultsCtx runs the stuck-at fault list against the pattern
+// sequence with fault dropping and returns first-detection indices.
+//
+// The context is checked once per 64-pattern block, so a cancelled or
+// expired context stops the campaign promptly. On early stop it returns
+// the partial result (first detections recorded so far) together with the
+// context's error.
+//
+// Per-run counts of 64-pattern blocks, faulty-machine evaluations,
+// activation-filter skips and fault drops land in reg. Counters are
+// accumulated locally and flushed once per run, so a nil registry costs
+// nothing on the hot path.
+//
+// workers sets the worker count (<= 0 selects runtime.NumCPU(), mirroring
 // switchsim.SimulateFaultsCtx). Within each 64-pattern block the good
 // machine is evaluated once and the live-fault list is sharded across the
 // workers; results are bitwise identical to a serial run for every worker
@@ -335,11 +325,6 @@ func simulateFaults(ctx context.Context, nl *netlist.Netlist, faults []fault.Stu
 		live = append(live, i)
 	}
 	maxWorkers := par.WorkersFor(workers, len(faults))
-	if nl.NumNets() > 0 {
-		// Prime the netlist's lazily built driver index before any worker
-		// can race to initialize it from eval.
-		nl.Driver(0)
-	}
 	// sims[0] doubles as the good-machine evaluator; further workers get
 	// lazily cloned private scratch buffers the first block that needs them.
 	sims := make([]*simulator, 1, maxWorkers)

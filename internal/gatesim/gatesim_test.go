@@ -1,6 +1,7 @@
 package gatesim
 
 import (
+	"context"
 	"testing"
 
 	"defectsim/internal/fault"
@@ -24,7 +25,7 @@ func TestC17ExhaustiveCoverage(t *testing.T) {
 	// the exhaustive 32-vector set.
 	nl := netlist.C17()
 	faults := fault.StuckAtUniverse(nl)
-	res, err := Simulate(nl, faults, exhaustivePatterns(5))
+	res, err := SimulateFaultsCtx(context.Background(), nl, faults, exhaustivePatterns(5), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestKnownDetection(t *testing.T) {
 	nl.MarkPO(y)
 
 	f := []fault.StuckAt{{Net: n1, Branch: -1, Value: 0}}
-	res, err := Simulate(nl, f, []Pattern{{1}, {0}})
+	res, err := SimulateFaultsCtx(context.Background(), nl, f, []Pattern{{1}, {0}}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestKnownDetection(t *testing.T) {
 	}
 	// PI stem fault.
 	f2 := []fault.StuckAt{{Net: a, Branch: -1, Value: 1}}
-	res2, _ := Simulate(nl, f2, []Pattern{{1}, {0}})
+	res2, _ := SimulateFaultsCtx(context.Background(), nl, f2, []Pattern{{1}, {0}}, 0, nil)
 	if res2.DetectedAt[0] != 2 {
 		t.Fatalf("a/sa1 detected at %d, want 2", res2.DetectedAt[0])
 	}
@@ -82,7 +83,7 @@ func TestBranchFaultIsLocal(t *testing.T) {
 
 	f := []fault.StuckAt{{Net: s, Branch: 0, Value: 1}} // branch into gate 0 (y1)
 	// Pattern s=0,a=1,b=1: good y1=0,y2=0; faulty y1=1,y2=0.
-	res, err := Simulate(nl, f, []Pattern{{0, 1, 1}})
+	res, err := SimulateFaultsCtx(context.Background(), nl, f, []Pattern{{0, 1, 1}}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +100,8 @@ func TestBranchFaultIsLocal(t *testing.T) {
 	nl2.MarkPO(z)
 	// y1 dangles; validation doesn't mind reads, only drivers — it drives
 	// its own net. Branch fault into gate 0 cannot reach the PO.
-	res2, err := Simulate(nl2, []fault.StuckAt{{Net: s2, Branch: 0, Value: 1}},
-		[]Pattern{{0, 1, 1}, {1, 1, 1}, {0, 0, 0}})
+	res2, err := SimulateFaultsCtx(context.Background(), nl2, []fault.StuckAt{{Net: s2, Branch: 0, Value: 1}},
+		[]Pattern{{0, 1, 1}, {1, 1, 1}, {0, 0, 0}}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +117,7 @@ func TestRedundantFaultUndetected(t *testing.T) {
 	na := nl.AddGate(netlist.Not, "na", a)
 	y := nl.AddGate(netlist.Or, "y", a, na)
 	nl.MarkPO(y)
-	res, err := Simulate(nl, []fault.StuckAt{{Net: y, Branch: -1, Value: 1}},
-		[]Pattern{{0}, {1}})
+	res, err := SimulateFaultsCtx(context.Background(), nl, []fault.StuckAt{{Net: y, Branch: -1, Value: 1}}, []Pattern{{0}, {1}}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCoverageMonotone(t *testing.T) {
 	nl := netlist.C432Class(1994)
 	faults := fault.StuckAtUniverse(nl)
 	pats := RandomPatterns(nl, 256, 1)
-	res, err := Simulate(nl, faults, pats)
+	res, err := SimulateFaultsCtx(context.Background(), nl, faults, pats, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSimulateAcrossBlockBoundaries(t *testing.T) {
 		pats[i] = Pattern{1}
 	}
 	pats[70] = Pattern{0}
-	res, err := Simulate(nl, []fault.StuckAt{{Net: a, Branch: -1, Value: 1}}, pats)
+	res, err := SimulateFaultsCtx(context.Background(), nl, []fault.StuckAt{{Net: a, Branch: -1, Value: 1}}, pats, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSimulateAcrossBlockBoundaries(t *testing.T) {
 
 func TestSimulateRejectsBadPattern(t *testing.T) {
 	nl := netlist.C17()
-	if _, err := Simulate(nl, nil, []Pattern{{0, 1}}); err == nil {
+	if _, err := SimulateFaultsCtx(context.Background(), nl, nil, []Pattern{{0, 1}}, 0, nil); err == nil {
 		t.Fatal("short pattern must error")
 	}
 }

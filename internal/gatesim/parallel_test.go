@@ -97,7 +97,7 @@ func TestParallelPartialResultDeterministic(t *testing.T) {
 	if serial.Detected() == 0 {
 		t.Fatalf("two blocks detected nothing; stop point too early")
 	}
-	full, err := Simulate(nl, faults, patterns)
+	full, err := SimulateFaultsCtx(context.Background(), nl, faults, patterns, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,33 +163,6 @@ func TestParallelSmallCampaignCollapses(t *testing.T) {
 	for i := range serial.DetectedAt {
 		if par.DetectedAt[i] != serial.DetectedAt[i] {
 			t.Fatalf("fault %d: %d vs serial %d", i, par.DetectedAt[i], serial.DetectedAt[i])
-		}
-	}
-}
-
-// TestParallelWrapperEquivalence: the Simulate/SimulateObs/SimulateCtx
-// wrappers route through the same engine as an explicit worker count.
-func TestParallelWrapperEquivalence(t *testing.T) {
-	nl := netlist.C432Class(1994)
-	faults := fault.StuckAtUniverse(nl)
-	patterns := RandomPatterns(nl, 128, 9)
-	want, err := SimulateFaultsCtx(context.Background(), nl, faults, patterns, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, run := range map[string]func() (*Result, error){
-		"Simulate":    func() (*Result, error) { return Simulate(nl, faults, patterns) },
-		"SimulateObs": func() (*Result, error) { return SimulateObs(nl, faults, patterns, nil) },
-		"SimulateCtx": func() (*Result, error) { return SimulateCtx(context.Background(), nl, faults, patterns, nil) },
-	} {
-		got, err := run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i := range want.DetectedAt {
-			if got.DetectedAt[i] != want.DetectedAt[i] {
-				t.Fatalf("%s: fault %d at %d, engine says %d", name, i, got.DetectedAt[i], want.DetectedAt[i])
-			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package gatesim
 
 import (
+	"context"
 	"testing"
 
 	"defectsim/internal/fault"
@@ -35,7 +36,7 @@ func TestTransitionNeedsLaunchAndCapture(t *testing.T) {
 		t.Fatalf("detected at %d, want capture vector 2", res.DetectedAt[0])
 	}
 	// The pure stuck-at simulation would already detect on vector 1.
-	sa, _ := Simulate(nl, f, []Pattern{{1}})
+	sa, _ := SimulateFaultsCtx(context.Background(), nl, f, []Pattern{{1}}, 0, nil)
 	if sa.DetectedAt[0] != 1 {
 		t.Fatal("sanity: stuck-at detection on first vector")
 	}
@@ -66,7 +67,7 @@ func TestTransitionNeverBeatsStuckAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := Simulate(nl, faults, pats)
+	sa, err := SimulateFaultsCtx(context.Background(), nl, faults, pats, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package montecarlo
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"defectsim/internal/fault"
 )
@@ -15,49 +14,11 @@ import (
 // α. As α → ∞ this degenerates to SimulateLot. The result validates the
 // clustered defect-level model dlmodel.Clustered.
 func SimulateClusteredLot(list *fault.List, detectedAt []int, k, dies int, alpha float64, seed int64) LotResult {
-	if len(detectedAt) != len(list.Faults) {
-		panic("montecarlo: detection data does not match the fault list")
-	}
 	if alpha <= 0 {
 		panic("montecarlo: clustering parameter must be positive")
 	}
-	rng := rand.New(rand.NewSource(seed))
-	lambda := list.TotalWeight()
-
-	cum := make([]float64, len(list.Faults))
-	var acc float64
-	for i, f := range list.Faults {
-		acc += f.Weight
-		cum[i] = acc
-	}
-
-	var res LotResult
-	res.Dies = dies
-	for d := 0; d < dies; d++ {
-		rate := lambda * gammaVariate(rng, alpha) / alpha
-		n := poisson(rng, rate)
-		if n == 0 {
-			res.GoodDies++
-			continue
-		}
-		caught := false
-		for i := 0; i < n && !caught; i++ {
-			u := rng.Float64() * lambda
-			j := sort.SearchFloat64s(cum, u)
-			if j >= len(cum) {
-				j = len(cum) - 1
-			}
-			if det := detectedAt[j]; det > 0 && det <= k {
-				caught = true
-			}
-		}
-		if caught {
-			res.Detected++
-		} else {
-			res.Escapes++
-		}
-	}
-	return res
+	s := NewSampler(list, detectedAt, k, seed)
+	return s.lot(dies, func() float64 { return s.lambda * gammaVariate(s.rng, alpha) / alpha })
 }
 
 // gammaVariate draws from Gamma(shape, 1) via Marsaglia–Tsang, with the

@@ -94,3 +94,15 @@ func TestClusteredLotPanics(t *testing.T) {
 		SimulateClusteredLot(list, make([]int, 1), 1, 10, 1, 1)
 	})
 }
+
+// TestClusteredLotPinned pins the clustered sampler's exact output at a
+// fixed seed: per die, the Gamma draw, then the Poisson count, then the
+// per-fault draws.
+func TestClusteredLotPinned(t *testing.T) {
+	_, list := adderFaults(t)
+	got := SimulateClusteredLot(list, pinDetections(len(list.Faults)), 3, 20000, 0.5, 13)
+	want := LotResult{Dies: 20000, GoodDies: 15861, Detected: 2415, Escapes: 1724}
+	if got != want {
+		t.Fatalf("SimulateClusteredLot = %+v, want %+v", got, want)
+	}
+}

@@ -62,43 +62,87 @@ func (r LotResult) String() string {
 // analytic models, so the result validates the models' probability
 // algebra, not fault-interaction effects.
 func SimulateLot(list *fault.List, detectedAt []int, k, dies int, seed int64) LotResult {
+	s := NewSampler(list, detectedAt, k, seed)
+	return s.lot(dies, func() float64 { return s.lambda })
+}
+
+// Status is a die's disposition after test.
+type Status uint8
+
+// Die dispositions.
+const (
+	Good     Status = iota // no fault present
+	Detected               // faulty and caught by the test set
+	Escape                 // faulty and shipped
+)
+
+// Sampler is the die sampler shared by the lot and wafer simulations: a
+// die with defect rate r carries Poisson(r) faults, each drawn from the
+// weighted list (fault j with probability w_j/λ), and is caught when any
+// of them is detected within the first k vectors. Callers differ only in
+// each die's rate.
+type Sampler struct {
+	rng        *rand.Rand
+	lambda     float64
+	cum        []float64 // cumulative weights for O(log n) fault draws
+	detectedAt []int
+	k          int
+}
+
+// NewSampler returns a seeded sampler over list and the campaign's
+// first-detection indices (detectedAt[j] = 0: fault j never detected).
+func NewSampler(list *fault.List, detectedAt []int, k int, seed int64) *Sampler {
 	if len(detectedAt) != len(list.Faults) {
 		panic("montecarlo: detection data does not match the fault list")
 	}
-	rng := rand.New(rand.NewSource(seed))
-	lambda := list.TotalWeight()
-
-	// Cumulative weights for O(log n) fault draws: occurrences of a
-	// Poisson superposition select fault j with probability w_j/λ.
-	cum := make([]float64, len(list.Faults))
+	s := &Sampler{
+		rng:        rand.New(rand.NewSource(seed)),
+		lambda:     list.TotalWeight(),
+		cum:        make([]float64, len(list.Faults)),
+		detectedAt: detectedAt,
+		k:          k,
+	}
 	var acc float64
 	for i, f := range list.Faults {
 		acc += f.Weight
-		cum[i] = acc
+		s.cum[i] = acc
 	}
+	return s
+}
 
-	var res LotResult
-	res.Dies = dies
+// Lambda returns λ, the list's total weight: the mean fault count of a
+// die under flat statistics.
+func (s *Sampler) Lambda() float64 { return s.lambda }
+
+// Die manufactures and tests one die with defect rate rate. It draws the
+// Poisson fault count, then one fault per draw until one is detected.
+func (s *Sampler) Die(rate float64) Status {
+	n := poisson(s.rng, rate)
+	if n == 0 {
+		return Good
+	}
+	for i := 0; i < n; i++ {
+		j := sort.SearchFloat64s(s.cum, s.rng.Float64()*s.lambda)
+		if j >= len(s.cum) {
+			j = len(s.cum) - 1
+		}
+		if det := s.detectedAt[j]; det > 0 && det <= s.k {
+			return Detected
+		}
+	}
+	return Escape
+}
+
+// lot samples dies dies, each at the rate the callback draws for it.
+func (s *Sampler) lot(dies int, rate func() float64) LotResult {
+	res := LotResult{Dies: dies}
 	for d := 0; d < dies; d++ {
-		n := poisson(rng, lambda)
-		if n == 0 {
+		switch s.Die(rate()) {
+		case Good:
 			res.GoodDies++
-			continue
-		}
-		caught := false
-		for i := 0; i < n && !caught; i++ {
-			u := rng.Float64() * lambda
-			j := sort.SearchFloat64s(cum, u)
-			if j >= len(cum) {
-				j = len(cum) - 1
-			}
-			if det := detectedAt[j]; det > 0 && det <= k {
-				caught = true
-			}
-		}
-		if caught {
+		case Detected:
 			res.Detected++
-		} else {
+		default:
 			res.Escapes++
 		}
 	}

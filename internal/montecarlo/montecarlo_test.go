@@ -149,3 +149,27 @@ func TestInjectionDeterministic(t *testing.T) {
 		t.Fatal("injection must be deterministic per seed")
 	}
 }
+
+// pinDetections is the synthetic campaign of the sampler pins: a third of
+// the faults never detected, the rest first detected at vectors 1..4.
+func pinDetections(n int) []int {
+	detectedAt := make([]int, n)
+	for i := range detectedAt {
+		if i%3 != 0 {
+			detectedAt[i] = 1 + i%4
+		}
+	}
+	return detectedAt
+}
+
+// TestSimulateLotPinned pins the lot sampler's exact output at a fixed
+// seed: the RNG draw order (Poisson count, then one draw per fault until
+// the die is caught) must not change, or every recorded lot result moves.
+func TestSimulateLotPinned(t *testing.T) {
+	_, list := adderFaults(t)
+	got := SimulateLot(list, pinDetections(len(list.Faults)), 3, 20000, 11)
+	want := LotResult{Dies: 20000, GoodDies: 14948, Detected: 2743, Escapes: 2309}
+	if got != want {
+		t.Fatalf("SimulateLot = %+v, want %+v", got, want)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // GateType enumerates the supported combinational gate functions.
@@ -134,7 +135,10 @@ type Netlist struct {
 	PIs      []int // primary input nets, in declaration order
 	POs      []int // primary output nets, in declaration order
 
-	driver []int // net -> gate index driving it, -1 for PIs (built lazily)
+	// driver maps net -> gate index driving it, -1 for PIs. Driver builds
+	// it lazily and AddNet/AddGateTo drop it; it is atomic because
+	// concurrent runs on one finished netlist may race to build it.
+	driver atomic.Pointer[[]int]
 }
 
 // New returns an empty netlist with the given name.
@@ -146,7 +150,7 @@ func (n *Netlist) NumNets() int { return len(n.NetNames) }
 // AddNet creates a new net with the given name and returns its index.
 func (n *Netlist) AddNet(name string) int {
 	n.NetNames = append(n.NetNames, name)
-	n.driver = nil
+	n.driver.Store(nil)
 	return len(n.NetNames) - 1
 }
 
@@ -171,22 +175,25 @@ func (n *Netlist) AddGate(t GateType, name string, inputs ...int) int {
 // AddGateTo appends a gate of type t driving the existing net out.
 func (n *Netlist) AddGateTo(t GateType, out int, inputs ...int) {
 	n.Gates = append(n.Gates, Gate{Type: t, Inputs: append([]int(nil), inputs...), Out: out})
-	n.driver = nil
+	n.driver.Store(nil)
 }
 
 // Driver returns the index of the gate driving net id, or -1 when id is a
 // primary input (or undriven).
 func (n *Netlist) Driver(id int) int {
-	if n.driver == nil {
-		n.driver = make([]int, n.NumNets())
-		for i := range n.driver {
-			n.driver[i] = -1
+	d := n.driver.Load()
+	if d == nil {
+		m := make([]int, n.NumNets())
+		for i := range m {
+			m[i] = -1
 		}
 		for gi, g := range n.Gates {
-			n.driver[g.Out] = gi
+			m[g.Out] = gi
 		}
+		d = &m
+		n.driver.Store(d)
 	}
-	return n.driver[id]
+	return (*d)[id]
 }
 
 // Fanouts returns, for every net, the indices of gates that read it.

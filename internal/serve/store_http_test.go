@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
@@ -96,6 +97,67 @@ func TestStoreEndpoints(t *testing.T) {
 	}
 	if ok, err := s.Store().Stat(context.Background(), otherKey); err != nil || ok {
 		t.Fatalf("corrupt envelope reached the store (ok=%v err=%v)", ok, err)
+	}
+}
+
+// TestStorePutInconsistentEnvelope pins the restore checks at the service
+// surface. An envelope whose checksum verifies but whose contents
+// disagree with the circuit (here a c17 payload re-sealed with
+// "untestable": []) passes PUT, which checks integrity only. The next job
+// for the key must not be served from it: the result is 200 with the
+// reference values and a cache degradation, and the fresh run rewrites
+// the entry with the reference bytes.
+func TestStorePutInconsistentEnvelope(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, CacheDir: t.TempDir()})
+	key, env := envelopeFor(t, smallC17, s.cfg)
+	version, payload, err := store.Open(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["untestable"] = json.RawMessage("[]")
+	if payload, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	poisoned, err := store.Seal(version, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := doReq(t, http.MethodPut, ts.URL+"/v1/store/"+key, poisoned); code != http.StatusCreated {
+		t.Fatalf("PUT = %d, want 201; body: %s", code, body)
+	}
+
+	st := submitJob(t, ts, smallC17)
+	code, data := waitResult(t, ts, st.ID)
+	if code != http.StatusOK {
+		t.Fatalf("result = %d, want 200; body: %s", code, data)
+	}
+	res := decode[jobResult](t, data)
+	if res.CacheHit {
+		t.Fatal("inconsistent envelope served as a cache hit")
+	}
+	if len(res.Degradations) != 1 || !strings.Contains(res.Degradations[0], "degraded cache: fell back to fresh run") {
+		t.Fatalf("degradations = %q, want one cache fallback", res.Degradations)
+	}
+
+	_, cfg, nl, err := DecodeRequest([]byte(smallC17), s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := experiments.DecodeCached(context.Background(), nl, cfg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Yield != ref.Yield || res.Vectors != len(ref.TestSet.Patterns) ||
+		res.StuckAtCoverage != ref.TestSet.Coverage(true) ||
+		res.ThetaFinal != ref.ThetaCurve(false).Final() || res.GammaFinal != ref.GammaCurve().Final() {
+		t.Fatalf("result %+v differs from the reference run", res)
+	}
+	if got, err := s.Store().Get(context.Background(), key); err != nil || !bytes.Equal(got, env) {
+		t.Fatalf("fresh run did not rewrite the entry with the reference bytes (err=%v)", err)
 	}
 }
 

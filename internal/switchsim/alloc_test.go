@@ -197,7 +197,7 @@ func TestPooledReuseBitwiseIdenticalToFreshMachines(t *testing.T) {
 		list, c := buildCampaign(t, nl)
 		vecs := randomVectors(len(nl.PIs), 48, 7)
 		want := freshMachineCampaign(c, list, vecs, 0)
-		trace := CaptureGoodTrace(c, vecs)
+		trace, _ := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
 		for _, w := range []int{1, 4, runtime.NumCPU()} {
 			res, err := SimulateFaultsCtx(context.Background(), c, list, vecs, w, BridgeG, nil)
 			if err != nil {

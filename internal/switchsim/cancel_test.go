@@ -63,7 +63,7 @@ func TestSimulateFaultsCtxCancelMidRun(t *testing.T) {
 	}
 
 	// The partial prefix must agree with an uncancelled run.
-	full, err := SimulateFaults(c, list, vecs)
+	full, err := SimulateFaultsCtx(context.Background(), c, list, vecs, 0, BridgeG, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,14 +217,13 @@ func (r *Result) DetectedBy(k int, iddq bool) []bool {
 	return out
 }
 
-// SimulateFaults runs the fault list against the vector sequence on circuit
-// c with the default worker policy (workers = 0: runtime.NumCPU() via the
-// shared internal/par normalization). See SimulateFaultsN.
-func SimulateFaults(c *transistor.Circuit, list *fault.List, vectors []Vector) (*Result, error) {
-	return SimulateFaultsN(c, list, vectors, 0)
-}
+// oscStrikeLimit is how many unsettled vectors a fault machine tolerates
+// before the fault is declared undecided and dropped: a feedback bridge
+// that oscillates this persistently will not produce a trustworthy static
+// observation, and repeatedly re-relaxing it wastes the whole budget.
+const oscStrikeLimit = 3
 
-// SimulateFaultsN runs the fault list against the vector sequence on
+// SimulateFaultsCtx runs the fault list against the vector sequence on
 // circuit c. Detection is static voltage observation at the primary
 // outputs: a fault is detected by vector k when some PO is definite (0/1)
 // in both the good and faulty machine and the values differ — X outputs
@@ -235,35 +234,17 @@ func SimulateFaults(c *transistor.Circuit, list *fault.List, vectors []Vector) (
 // workers sets the number of goroutines advancing fault machines (≤ 0
 // selects runtime.NumCPU() via the shared internal/par policy). Fault
 // machines are independent given the good trace, so the result is
-// identical for any worker count.
-func SimulateFaultsN(c *transistor.Circuit, list *fault.List, vectors []Vector, workers int) (*Result, error) {
-	return SimulateFaultsR(c, list, vectors, workers, BridgeG)
-}
-
-// SimulateFaultsR is SimulateFaultsN with an explicit bridge conductance
-// for resistive-bridge studies.
-func SimulateFaultsR(c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64) (*Result, error) {
-	return SimulateFaultsObs(c, list, vectors, workers, bridgeG, nil)
-}
-
-// SimulateFaultsObs is SimulateFaultsR with metrics: machine advances,
-// shared-state fast-path hits, oscillation aborts and detection indices
-// land in reg. Workers accumulate privately and flush once per vector, so
-// the nil-registry path adds no work or allocation to the inner loop.
-func SimulateFaultsObs(c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry) (*Result, error) {
-	return SimulateFaultsCtx(context.Background(), c, list, vectors, workers, bridgeG, reg)
-}
-
-// oscStrikeLimit is how many unsettled vectors a fault machine tolerates
-// before the fault is declared undecided and dropped: a feedback bridge
-// that oscillates this persistently will not produce a trustworthy static
-// observation, and repeatedly re-relaxing it wastes the whole budget.
-const oscStrikeLimit = 3
-
-// SimulateFaultsCtx is SimulateFaultsObs with cancellation and graceful
-// degradation: the context is checked once per vector, so a cancelled or
-// expired context stops the campaign promptly, returning the partial
-// result (detections so far, remaining live faults marked Undecided,
+// identical for any worker count. bridgeG is the bridge conductance
+// (BridgeG, or another value for resistive-bridge studies).
+//
+// Machine advances, shared-state fast-path hits, oscillation aborts and
+// detection indices land in reg. Workers accumulate privately and flush
+// once per vector, so the nil-registry path adds no work or allocation to
+// the inner loop.
+//
+// The context is checked once per vector, so a cancelled or expired
+// context stops the campaign promptly, returning the partial result
+// (detections so far, remaining live faults marked Undecided,
 // VectorsApplied recording where it stopped) together with the context's
 // error. A fault-free machine that fails to settle no longer aborts the
 // run: simulation stops at that vector, the event lands in

@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"context"
 	"testing"
 
 	"defectsim/internal/defect"
@@ -21,7 +22,7 @@ func campaign(t testing.TB, nl *netlist.Netlist, nVec int, seed int64) (*fault.L
 	list := extract.Faults(L, defect.Typical())
 	c := transistor.FromLayout(L)
 	vecs := randomVectors(len(nl.PIs), nVec, seed)
-	res, err := SimulateFaults(c, list, vecs)
+	res, err := SimulateFaultsCtx(context.Background(), c, list, vecs, 0, BridgeG, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

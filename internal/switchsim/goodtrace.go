@@ -104,13 +104,6 @@ func (tr *GoodTrace) validateFor(c *transistor.Circuit, vectors []Vector) error 
 	return nil
 }
 
-// CaptureGoodTrace records the fault-free machine's trajectory over the
-// vector sequence. See CaptureGoodTraceCtx.
-func CaptureGoodTrace(c *transistor.Circuit, vectors []Vector) *GoodTrace {
-	tr, _ := CaptureGoodTraceCtx(context.Background(), c, vectors, nil)
-	return tr
-}
-
 // CaptureGoodTraceCtx records the fault-free machine's trajectory over the
 // vector sequence, polling ctx once per vector. A cancelled capture
 // returns the partial (incomplete, not reusable) trace together with the

@@ -49,7 +49,7 @@ func TestCaptureGoodTraceMatchesRun(t *testing.T) {
 	nl := netlist.C17()
 	_, c := buildCampaign(t, nl)
 	vecs := randomVectors(len(nl.PIs), 24, 3)
-	tr := CaptureGoodTrace(c, vecs)
+	tr, _ := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
 	if !tr.Complete() || tr.UnsettledAt != 0 {
 		t.Fatalf("capture incomplete: %d/%d states, unsettled %d", len(tr.States), len(vecs)+1, tr.UnsettledAt)
 	}
@@ -80,7 +80,7 @@ func TestTracedCampaignBitwiseEqual(t *testing.T) {
 	for _, nl := range []*netlist.Netlist{netlist.C17(), netlist.RippleAdder(4)} {
 		list, c := buildCampaign(t, nl)
 		vecs := randomVectors(len(nl.PIs), 48, 21)
-		ref, err := SimulateFaults(c, list, vecs)
+		ref, err := SimulateFaultsCtx(context.Background(), c, list, vecs, 0, BridgeG, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestTracedCampaignBitwiseEqual(t *testing.T) {
 		// Resistive conductances exercise the verdict and oscillation paths
 		// differently; the trace is bridge-model independent.
 		for _, g := range []float64{20, 1.5, 0.3} {
-			refG, err := SimulateFaultsR(c, list, vecs, 1, g)
+			refG, err := SimulateFaultsCtx(context.Background(), c, list, vecs, 1, g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,8 +125,8 @@ func TestTracedCampaignPrefixExtension(t *testing.T) {
 	nl := netlist.RippleAdder(3)
 	list, c := buildCampaign(t, nl)
 	vecs := randomVectors(len(nl.PIs), 40, 8)
-	tr := CaptureGoodTrace(c, vecs[:25])
-	ref, err := SimulateFaults(c, list, vecs)
+	tr, _ := CaptureGoodTraceCtx(context.Background(), c, vecs[:25], nil)
+	ref, err := SimulateFaultsCtx(context.Background(), c, list, vecs, 0, BridgeG, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestTracedCampaignCancelMidRun(t *testing.T) {
 	nl := netlist.RippleAdder(4)
 	list, c := buildCampaign(t, nl)
 	vecs := randomVectors(len(nl.PIs), 64, 5)
-	tr := CaptureGoodTrace(c, vecs)
+	tr, _ := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
 
 	const stopAfter = 10
 	partial := func(traced bool) *Result {
@@ -184,7 +184,7 @@ func TestTracedCampaignUnsettledCutoff(t *testing.T) {
 	nl := netlist.C17()
 	list, c := buildCampaign(t, nl)
 	vecs := randomVectors(len(nl.PIs), 32, 13)
-	full := CaptureGoodTrace(c, vecs)
+	full, _ := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
 
 	const cut = 7 // 1-based vector index recorded as unsettled
 	trunc := &GoodTrace{Vectors: vecs, States: full.States[:cut], UnsettledAt: cut}
@@ -200,7 +200,7 @@ func TestTracedCampaignUnsettledCutoff(t *testing.T) {
 			t.Fatalf("workers=%d: GoodUnsettledAt=%d VectorsApplied=%d, want %d/%d",
 				w, res.GoodUnsettledAt, res.VectorsApplied, cut, cut-1)
 		}
-		ref, err := SimulateFaults(c, list, vecs)
+		ref, err := SimulateFaultsCtx(context.Background(), c, list, vecs, 0, BridgeG, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestTraceValidation(t *testing.T) {
 	nl := netlist.C17()
 	list, c := buildCampaign(t, nl)
 	vecs := randomVectors(len(nl.PIs), 16, 2)
-	tr := CaptureGoodTrace(c, vecs)
+	tr, _ := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
 
 	// Wrong circuit: state width mismatch.
 	nl2 := netlist.RippleAdder(4)

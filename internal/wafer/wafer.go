@@ -9,11 +9,10 @@ package wafer
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"strings"
 
 	"defectsim/internal/fault"
+	"defectsim/internal/montecarlo"
 )
 
 // Geometry describes the wafer and die dimensions (arbitrary common unit).
@@ -71,13 +70,13 @@ func EdgeDegraded(edgeFactor float64) RadialProfile {
 }
 
 // Status classifies a die after test.
-type Status uint8
+type Status = montecarlo.Status
 
 // Die dispositions.
 const (
-	StatusGood Status = iota
-	StatusDetected
-	StatusEscape
+	StatusGood     = montecarlo.Good
+	StatusDetected = montecarlo.Detected
+	StatusEscape   = montecarlo.Escape
 )
 
 // Map is a simulated, tested wafer.
@@ -92,59 +91,14 @@ type Map struct {
 // per-die average of the flat process), faults are drawn from the weighted
 // list, and the first k vectors of the campaign disposition the die.
 func Simulate(g Geometry, list *fault.List, detectedAt []int, k int, profile RadialProfile, seed int64) *Map {
-	if len(detectedAt) != len(list.Faults) {
-		panic("wafer: detection data does not match the fault list")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	lambda := list.TotalWeight()
+	s := montecarlo.NewSampler(list, detectedAt, k, seed)
 	usable := g.Radius - g.EdgeExclusion
-
-	cum := make([]float64, len(list.Faults))
-	var acc float64
-	for i, f := range list.Faults {
-		acc += f.Weight
-		cum[i] = acc
-	}
-
 	m := &Map{Geometry: g, Dies: g.Sites()}
 	m.Status = make([]Status, len(m.Dies))
 	for i, d := range m.Dies {
-		rate := lambda * profile(d.R/usable)
-		n := poisson(rng, rate)
-		if n == 0 {
-			m.Status[i] = StatusGood
-			continue
-		}
-		caught := false
-		for j := 0; j < n && !caught; j++ {
-			u := rng.Float64() * lambda
-			fi := sort.SearchFloat64s(cum, u)
-			if fi >= len(cum) {
-				fi = len(cum) - 1
-			}
-			if det := detectedAt[fi]; det > 0 && det <= k {
-				caught = true
-			}
-		}
-		if caught {
-			m.Status[i] = StatusDetected
-		} else {
-			m.Status[i] = StatusEscape
-		}
+		m.Status[i] = s.Die(s.Lambda() * profile(d.R/usable))
 	}
 	return m
-}
-
-func poisson(rng *rand.Rand, rate float64) int {
-	l := math.Exp(-rate)
-	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // Yield returns the fraction of fault-free dies.

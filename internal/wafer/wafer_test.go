@@ -149,3 +149,33 @@ func TestSimulatePanicsOnMismatch(t *testing.T) {
 	}()
 	Simulate(Geometry{Radius: 50, DieW: 5, DieH: 5}, list, make([]int, 2), 1, Uniform(), 1)
 }
+
+// TestSimulatePinned pins the wafer sampler's exact die dispositions at a
+// fixed seed for the flat and the edge-degraded profile.
+func TestSimulatePinned(t *testing.T) {
+	list := testFaults(t)
+	detectedAt := make([]int, len(list.Faults))
+	for i := range detectedAt {
+		if i%3 != 0 {
+			detectedAt[i] = 1 + i%4
+		}
+	}
+	g := Geometry{Radius: 150, DieW: 7, DieH: 7, EdgeExclusion: 4}
+	for _, tc := range []struct {
+		name    string
+		profile RadialProfile
+		want    [3]int // good, detected, escape
+	}{
+		{"uniform", Uniform(), [3]int{983, 168, 140}},
+		{"edge-degraded", EdgeDegraded(3), [3]int{763, 297, 231}},
+	} {
+		m := Simulate(g, list, detectedAt, 3, tc.profile, 21)
+		var got [3]int
+		for _, s := range m.Status {
+			got[s]++
+		}
+		if got != tc.want {
+			t.Errorf("%s: status counts (good, detected, escape) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
