@@ -181,9 +181,13 @@ func decompose(t netlist.GateType, in []int, out int, newNode func(string) int) 
 	panic(fmt.Sprintf("cell: no decomposition for %v", t))
 }
 
+// MaxFanin is the widest stage the library builds: a k-input stage has k
+// gate inputs and owns its output plus k−1 series-stack nodes.
+const MaxFanin = 4
+
 // Build constructs the standard cell realizing gate type t with fanin
-// inputs. Supported fan-ins: 1 for NOT/BUF, 2–4 for NAND/NOR/AND/OR, exactly
-// 2 for XOR/XNOR.
+// inputs. Supported fan-ins: 1 for NOT/BUF, 2–MaxFanin for NAND/NOR/AND/OR,
+// exactly 2 for XOR/XNOR.
 func Build(t netlist.GateType, fanin int) (*Cell, error) {
 	switch t {
 	case netlist.Not, netlist.Buf:
@@ -195,8 +199,8 @@ func Build(t netlist.GateType, fanin int) (*Cell, error) {
 			return nil, fmt.Errorf("cell: %v takes 2 inputs, got %d", t, fanin)
 		}
 	default:
-		if fanin < 2 || fanin > 4 {
-			return nil, fmt.Errorf("cell: %v fan-in %d outside [2,4]", t, fanin)
+		if fanin < 2 || fanin > MaxFanin {
+			return nil, fmt.Errorf("cell: %v fan-in %d outside [2,%d]", t, fanin, MaxFanin)
 		}
 	}
 	c := &Cell{

@@ -11,6 +11,7 @@ import (
 
 	"defectsim/internal/atpg"
 	"defectsim/internal/gatesim"
+	"defectsim/internal/layout"
 	"defectsim/internal/netlist"
 	"defectsim/internal/store"
 	"defectsim/internal/switchsim"
@@ -373,14 +374,15 @@ func (cf *cacheFile) restore(p *Pipeline) error {
 		GoodUnsettledAt: cf.GoodUnsettledAt,
 	}
 	// Restore the persisted good trace so downstream studies on this
-	// cache-hit pipeline reuse it instead of recapturing. A trace that does
-	// not match the rebuilt circuit (or is incomplete) is dropped silently —
-	// it is an optimization, and GoodTrace recaptures lazily.
+	// cache-hit pipeline reuse it instead of recapturing. A trace that
+	// cannot be the fault-free trajectory of the rebuilt circuit (or is
+	// incomplete) is dropped silently — it is an optimization, and
+	// GoodTrace recaptures lazily.
 	if len(cf.GoodTrace) > 0 {
 		tr := &switchsim.GoodTrace{Vectors: p.Vectors(), UnsettledAt: cf.GoodTraceUnsettled}
 		valid := true
-		for _, row := range cf.GoodTrace {
-			if len(row) != p.Circuit.NumNets {
+		for k, row := range cf.GoodTrace {
+			if !validTraceRow(row, p.Circuit.NumNets, k == 0) {
 				valid = false
 				break
 			}
@@ -396,4 +398,25 @@ func (cf *cacheFile) restore(p *Pipeline) error {
 		}
 	}
 	return nil
+}
+
+// validTraceRow reports whether a persisted good-trace row can be a state
+// of the fault-free machine on a circuit of numNets nets: one 0/1/X value
+// per net, the rails at their levels, and, for the first row, the reset
+// state (every other net X). A checksum proves only that the bytes are
+// the ones sealed; an installed value outside 0/1/X would corrupt every
+// coverage figure computed against the trace.
+func validTraceRow(row []byte, numNets int, reset bool) bool {
+	if len(row) != numNets || row[layout.NetGND] != byte(switchsim.V0) || row[layout.NetVDD] != byte(switchsim.V1) {
+		return false
+	}
+	for i, b := range row {
+		if i == layout.NetGND || i == layout.NetVDD {
+			continue
+		}
+		if b > byte(switchsim.VX) || (reset && b != byte(switchsim.VX)) {
+			return false
+		}
+	}
+	return true
 }

@@ -12,9 +12,11 @@ import (
 	"time"
 
 	"defectsim/internal/faultinject"
+	"defectsim/internal/layout"
 	"defectsim/internal/netlist"
 	"defectsim/internal/obs"
 	"defectsim/internal/store"
+	"defectsim/internal/switchsim"
 )
 
 // TestSaveEnvelopeIsStoreCompatible pins the wire contract between the
@@ -320,6 +322,70 @@ func TestInconsistentPayloadIsCorrupt(t *testing.T) {
 	}
 }
 
+// poisonedTraces are checksum-valid payloads whose persisted good trace
+// cannot be the fault-free machine's trajectory: every field the restore
+// checks for shape is consistent, only the trace's values are wrong.
+var poisonedTraces = []struct {
+	name   string
+	mutate func(cf *cacheFile)
+}{
+	{"value 9", func(cf *cacheFile) {
+		for _, row := range cf.GoodTrace[1:] {
+			for n := 2; n < len(row); n++ {
+				row[n] = 9
+			}
+		}
+	}},
+	{"GND at V1", func(cf *cacheFile) {
+		for _, row := range cf.GoodTrace {
+			row[layout.NetGND] = byte(switchsim.V1)
+		}
+	}},
+	{"first state not the reset state", func(cf *cacheFile) {
+		copy(cf.GoodTrace[0], cf.GoodTrace[1])
+	}},
+}
+
+// TestPoisonedGoodTraceDropped pins the restore policy for a persisted
+// good trace whose values are wrong: the decoded pipeline drops the trace
+// (GoodTrace recaptures it lazily), so the n-detect study on the store hit
+// equals the cold run's instead of scoring against the poisoned states.
+func TestPoisonedGoodTraceDropped(t *testing.T) {
+	ctx := context.Background()
+	cfg := smallConfig()
+	cfg.RandomVectors = 4
+	cold, err := RunCtx(ctx, netlist.C17(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := cold.EncodeCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunNDetectStudy(ctx, cold, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range poisonedTraces {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := DecodeCached(ctx, netlist.C17(), cfg, reseal(t, env, tc.mutate))
+			if err != nil {
+				t.Fatalf("DecodeCached: %v", err)
+			}
+			if p.goodTrace != nil {
+				t.Fatal("the decoded pipeline kept the poisoned good trace")
+			}
+			got, err := RunNDetectStudy(ctx, p, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n-detect study on the poisoned hit: Θ(n) = %v, the cold run's is %v", got.Theta, want.Theta)
+			}
+		})
+	}
+}
+
 // TestRunStoredDegradedNotPersisted extends the cache-poisoning guard to
 // store backends: a budget-degraded run is returned but never written.
 func TestRunStoredDegradedNotPersisted(t *testing.T) {
@@ -353,7 +419,8 @@ func TestRunStoredDegradedNotPersisted(t *testing.T) {
 // FuzzDecodeCached fuzzes the restore behind every store hit. The fuzzed
 // bytes are a cache payload, sealed so the checksum always verifies: on
 // c17, DecodeCached must either refuse the payload or return a pipeline
-// whose every read of the result works. A short random prefix keeps the
+// whose every read of the result works, including a study that simulates
+// against the restored good trace. A short random prefix keeps the
 // payloads small, so minimizing an input (each valid one reruns the c17
 // front end) stays cheap.
 func FuzzDecodeCached(f *testing.F) {
@@ -370,6 +437,9 @@ func FuzzDecodeCached(f *testing.F) {
 	}
 	seeds := [][]byte{env}
 	for _, tc := range inconsistentPayloads {
+		seeds = append(seeds, reseal(f, env, tc.mutate))
+	}
+	for _, tc := range poisonedTraces {
 		seeds = append(seeds, reseal(f, env, tc.mutate))
 	}
 	for _, seed := range seeds {
@@ -397,5 +467,6 @@ func FuzzDecodeCached(f *testing.F) {
 		}
 		Figure5(p)
 		_ = p.Summary()
+		_, _ = RunNDetectStudy(ctx, p, 2)
 	})
 }

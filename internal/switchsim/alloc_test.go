@@ -15,30 +15,34 @@ import (
 // TestSettleSteadyStateZeroAllocs pins the scratch-arena contract behind
 // the BENCH alloc gate: once a machine has seen its circuit's CCCs, the
 // entire apply→settle path (event queue, group discovery, conductance
-// relaxation) runs out of reused buffers — zero heap allocations per
-// vector in steady state.
+// relaxation or memo replay) runs out of reused buffers — zero heap
+// allocations per vector in steady state, with or without a campaign's
+// CCC memo.
 func TestSettleSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation profile differs under -race")
 	}
 	nl := netlist.RippleAdder(4)
 	_, c := circuitFor(t, nl)
-	m := NewMachine(c)
-	vecs := randomVectors(len(nl.PIs), 8, 3)
-	for _, v := range vecs {
-		if !m.Apply(v) {
-			t.Fatal("good machine failed to settle during warmup")
+	for _, memo := range []*cccMemo{nil, newCCCMemo(c)} {
+		m := NewMachine(c)
+		m.memo = memo
+		vecs := randomVectors(len(nl.PIs), 8, 3)
+		for _, v := range vecs {
+			if !m.Apply(v) {
+				t.Fatal("good machine failed to settle during warmup")
+			}
 		}
-	}
-	// Alternate two differing vectors so every run propagates real events
-	// instead of hitting the nothing-changed early-out.
-	a, b := vecs[0], vecs[1]
-	allocs := testing.AllocsPerRun(200, func() {
-		m.Apply(a)
-		m.Apply(b)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Apply allocates %v per op, want 0", allocs)
+		// Alternate two differing vectors so every run propagates real
+		// events instead of hitting the nothing-changed early-out.
+		a, b := vecs[0], vecs[1]
+		allocs := testing.AllocsPerRun(200, func() {
+			m.Apply(a)
+			m.Apply(b)
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state Apply (memo %v) allocates %v per op, want 0", memo != nil, allocs)
+		}
 	}
 }
 
@@ -46,7 +50,7 @@ func TestSettleSteadyStateZeroAllocs(t *testing.T) {
 // contract: re-targeting one machine at a different fault (install a new
 // plan, re-seed from the good state, settle) is allocation-free — the
 // reset the per-worker pools in simulateFaults perform once per clean
-// fault per vector.
+// fault per vector, on machines that carry the campaign's CCC memo.
 func TestPooledFaultMachineResetZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation profile differs under -race")
@@ -73,27 +77,31 @@ func TestPooledFaultMachineResetZeroAllocs(t *testing.T) {
 		t.Fatal("good machine failed to settle")
 	}
 
-	m := NewMachine(c)
-	warm := func() {
-		for _, p := range plans {
-			m.install(p, BridgeG)
-			m.ApplyFromGood(good.val, goodPrev)
+	for _, memo := range []*cccMemo{nil, newCCCMemo(c)} {
+		m := NewMachine(c)
+		m.memo = memo
+		warm := func() {
+			for _, p := range plans {
+				m.install(p, BridgeG)
+				m.ApplyFromGood(good.val, goodPrev)
+			}
 		}
-	}
-	warm()
-	if allocs := testing.AllocsPerRun(200, warm); allocs != 0 {
-		t.Fatalf("pooled install+ApplyFromGood allocates %v per cycle over %d plans, want 0",
-			allocs, len(plans))
+		warm()
+		if allocs := testing.AllocsPerRun(200, warm); allocs != 0 {
+			t.Fatalf("pooled install+ApplyFromGood (memo %v) allocates %v per cycle over %d plans, want 0",
+				memo != nil, allocs, len(plans))
+		}
 	}
 }
 
 // freshMachineCampaign is the reference the machine-pooling optimization
-// is pinned against: a serial campaign giving every simulated fault its
-// own dedicated machine from vector one — the pre-pooling engine,
-// reimplemented plainly. stopAt > 0 ends the campaign after that many
-// vectors the way a cancellation does: remaining live faults become
-// undecided.
-func freshMachineCampaign(c *transistor.Circuit, list *fault.List, vectors []Vector, stopAt int) *Result {
+// and the CCC memo are pinned against: a serial campaign giving every
+// simulated fault its own dedicated plain machine (no memo: every solve
+// relaxes) from vector one — the pre-pooling engine, reimplemented
+// plainly, with bridge conductance bridgeG. stopAt > 0 ends the campaign
+// after that many vectors the way a cancellation does: remaining live
+// faults become undecided.
+func freshMachineCampaign(c *transistor.Circuit, list *fault.List, vectors []Vector, bridgeG float64, stopAt int) *Result {
 	res := &Result{
 		DetectedAt: make([]int, len(list.Faults)),
 		IDDQAt:     make([]int, len(list.Faults)),
@@ -116,7 +124,7 @@ func freshMachineCampaign(c *transistor.Circuit, list *fault.List, vectors []Vec
 			}
 		case VerdictSimulate:
 			m := NewMachine(c)
-			m.install(plan, BridgeG)
+			m.install(plan, bridgeG)
 			lives = append(lives, &ref{idx: i, m: m, clean: true})
 		}
 	}
@@ -188,15 +196,18 @@ func freshMachineCampaign(c *transistor.Circuit, list *fault.List, vectors []Vec
 }
 
 // TestPooledReuseBitwiseIdenticalToFreshMachines is the property test the
-// pooling rework must never break: for any worker count, traced or
-// untraced, the pooled campaign's Result is bitwise identical to the
-// fresh-machine reference. Run under -race by the tier-2 pass, it also
-// exercises concurrent installs on the per-worker pools.
+// pooling rework and the CCC memo must never break: for any worker count,
+// traced or untraced, the pooled, memoized campaign's Result is bitwise
+// identical to the fresh-machine relaxation reference. The circuits cover
+// every stage width the library builds (wideStages' NAND4/NOR4, the XOR
+// ladders of ParityTree). Run under -race by the tier-2 pass, it also
+// exercises concurrent installs on the per-worker pools and concurrent
+// memo fills.
 func TestPooledReuseBitwiseIdenticalToFreshMachines(t *testing.T) {
-	for _, nl := range []*netlist.Netlist{netlist.C17(), netlist.RippleAdder(4), netlist.Comparator(3)} {
+	for _, nl := range []*netlist.Netlist{netlist.C17(), netlist.RippleAdder(4), netlist.Comparator(3), netlist.ParityTree(8), wideStages()} {
 		list, c := buildCampaign(t, nl)
 		vecs := randomVectors(len(nl.PIs), 48, 7)
-		want := freshMachineCampaign(c, list, vecs, 0)
+		want := freshMachineCampaign(c, list, vecs, BridgeG, 0)
 		trace, _ := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
 		for _, w := range []int{1, 4, runtime.NumCPU()} {
 			res, err := SimulateFaultsCtx(context.Background(), c, list, vecs, w, BridgeG, nil)
@@ -210,6 +221,15 @@ func TestPooledReuseBitwiseIdenticalToFreshMachines(t *testing.T) {
 			}
 			sameResult(t, nl.Name+" traced", want, tres)
 		}
+		// A resistive bridge changes only how its seed CCCs relax; the
+		// memo serves every other CCC at any conductance.
+		const weak = 1.5
+		want = freshMachineCampaign(c, list, vecs, weak, 0)
+		res, err := SimulateFaultsTrace(context.Background(), c, list, vecs, 0, weak, nil, trace)
+		if err != nil {
+			t.Fatalf("%s resistive: %v", nl.Name, err)
+		}
+		sameResult(t, nl.Name+" resistive", want, res)
 	}
 }
 
@@ -221,7 +241,7 @@ func TestPooledReuseCancelMatchesFreshMachines(t *testing.T) {
 	list, c := buildCampaign(t, nl)
 	vecs := randomVectors(len(nl.PIs), 64, 5)
 	const stopAfter = 6
-	want := freshMachineCampaign(c, list, vecs, stopAfter)
+	want := freshMachineCampaign(c, list, vecs, BridgeG, stopAfter)
 
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
 		ctx, cancel := context.WithCancel(context.Background())

@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"defectsim/internal/fault"
@@ -69,15 +70,9 @@ func planFault(c *transistor.Circuit, f fault.Realistic) (*faultPlan, Verdict) {
 
 	p := &faultPlan{}
 	addSeed := func(id int) {
-		if id < 0 {
-			return
+		if id >= 0 && !p.isSeed(id) {
+			p.seedCCCs = append(p.seedCCCs, id)
 		}
-		for _, s := range p.seedCCCs {
-			if s == id {
-				return
-			}
-		}
-		p.seedCCCs = append(p.seedCCCs, id)
 	}
 
 	switch f.Kind {
@@ -248,7 +243,8 @@ const oscStrikeLimit = 3
 // VectorsApplied recording where it stopped) together with the context's
 // error. A fault-free machine that fails to settle no longer aborts the
 // run: simulation stops at that vector, the event lands in
-// Result.GoodUnsettledAt, and live faults become Undecided.
+// Result.GoodUnsettledAt, and live faults become Undecided. Vectors that
+// do not fit c (see checkVectors) return an error before any simulation.
 func SimulateFaultsCtx(ctx context.Context, c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry) (*Result, error) {
 	res, _, err := simulateFaults(ctx, c, list, vectors, workers, bridgeG, reg, nil, false)
 	return res, err
@@ -312,6 +308,9 @@ type live struct {
 // (mutually exclusive with trace), the stepped states are recorded into
 // the returned GoodTrace.
 func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry, trace *GoodTrace, capture bool) (*Result, *GoodTrace, error) {
+	if err := checkVectors(c, vectors); err != nil {
+		return nil, nil, err
+	}
 	res := &Result{
 		DetectedAt: make([]int, len(list.Faults)),
 		IDDQAt:     make([]int, len(list.Faults)),
@@ -323,6 +322,9 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		mDetected = reg.Counter("swsim_faults_detected")
 		mTrivial  = reg.Counter("swsim_trivial_verdicts")
 		mVectors  = reg.Counter("swsim_vectors_applied")
+		mSolves   = reg.CounterVec("swsim_ccc_solves", "path")
+		mTable    = mSolves.With("table")
+		mRelax    = mSolves.With("relax")
 		hDetectAt *obs.Histogram
 	)
 	if reg != nil {
@@ -352,6 +354,15 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		reg.Gauge("swsim_workers").Set(float64(workers))
 	}
 
+	// One CCC memo serves the whole campaign: the good machine and every
+	// pooled or promoted fault machine replay plan-free CCC solves from it.
+	memo := newCCCMemo(c)
+	newMachine := func() *Machine {
+		m := NewMachine(c)
+		m.memo = memo
+		return m
+	}
+
 	// Fault-free reference: a live machine when no trace is given, the
 	// recorded states otherwise (a live machine is still created past the
 	// trace's end, seeded from its last state).
@@ -361,7 +372,7 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		capTrace    *GoodTrace
 	)
 	startLive := func() {
-		good = NewMachine(c)
+		good = newMachine()
 		if trace != nil {
 			copy(good.val, trace.States[len(trace.States)-1])
 		}
@@ -477,7 +488,7 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var steps, fast int64
+				var steps, fast, tableSolves, relaxSolves int64
 				pm := pool[w]
 				// pmGood tracks whether pm.val equals this vector's goodVal
 				// elementwise: after a pooled fault stays clean it does, and
@@ -495,7 +506,7 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 						// the full state, so the outcome is identical to a
 						// dedicated machine's.
 						if pm == nil {
-							pm = NewMachine(c)
+							pm = newMachine()
 						}
 						pm.install(lv.plan, bridgeG)
 						mm = pm
@@ -509,6 +520,9 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 					} else {
 						ok = mm.Apply(vec)
 					}
+					tableSolves += mm.tableSolves
+					relaxSolves += mm.relaxSolves
+					mm.tableSolves, mm.relaxSolves = 0, 0
 					if !ok {
 						oscillations[w]++
 						lv.strikes++
@@ -559,6 +573,8 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 				pool[w] = pm
 				mSteps.Add(steps)
 				mFastPath.Add(fast)
+				mTable.Add(tableSolves)
+				mRelax.Add(relaxSolves)
 			}(w)
 		}
 		wg.Wait()
@@ -583,6 +599,24 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		reg.Gauge("swsim_goodtrace_bytes").Set(float64(capTrace.Bytes()))
 	}
 	return res, capTrace, nil
+}
+
+// checkVectors rejects a vector sequence the simulator cannot apply to c:
+// a vector whose width is not c's PI count, or a value other than 0/1/X.
+// Every exported entry point checks its vectors before any simulation, so
+// a malformed input is an error rather than a panic inside a worker.
+func checkVectors(c *transistor.Circuit, vectors []Vector) error {
+	for k, vec := range vectors {
+		if len(vec) != len(c.PIs) {
+			return fmt.Errorf("switchsim: vector %d has %d bits, circuit %s has %d PIs", k, len(vec), c.Name, len(c.PIs))
+		}
+		for j, v := range vec {
+			if v > VX {
+				return fmt.Errorf("switchsim: vector %d holds the value %d at input %d", k, v, j)
+			}
+		}
+	}
+	return nil
 }
 
 // equalVals reports whether a and b hold identical values. Slices of

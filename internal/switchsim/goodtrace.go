@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"defectsim/internal/layout"
 	"defectsim/internal/obs"
 	"defectsim/internal/transistor"
 )
@@ -74,8 +75,10 @@ func (tr *GoodTrace) Bytes() int {
 
 // validateFor checks that the trace can stand in for the good machine of
 // a campaign over vectors on circuit c: the trace is complete, its states
-// are sized for c, and its vector sequence agrees with the campaign's on
-// their common prefix. Campaigns longer than the trace are allowed — the
+// are sized for c and hold only 0/1/X with the rails at their levels (the
+// campaign's CCC memo is keyed by those values and treats the rails as
+// constant), and its vector sequence agrees with the campaign's on their
+// common prefix. Campaigns longer than the trace are allowed — the
 // simulator seeds a live machine from the last recorded state and
 // continues (the top-up studies append extra vectors to the shared set).
 func (tr *GoodTrace) validateFor(c *transistor.Circuit, vectors []Vector) error {
@@ -88,6 +91,14 @@ func (tr *GoodTrace) validateFor(c *transistor.Circuit, vectors []Vector) error 
 	for k, st := range tr.States {
 		if len(st) != c.NumNets {
 			return fmt.Errorf("switchsim: good trace state %d spans %d nets, circuit %s has %d (trace captured on a different circuit?)", k, len(st), c.Name, c.NumNets)
+		}
+		for n, v := range st {
+			if v > VX {
+				return fmt.Errorf("switchsim: good trace state %d holds the value %d on net %d", k, v, n)
+			}
+		}
+		if st[layout.NetGND] != V0 || st[layout.NetVDD] != V1 {
+			return fmt.Errorf("switchsim: good trace state %d has a rail off its level (GND=%v, VDD=%v)", k, st[layout.NetGND], st[layout.NetVDD])
 		}
 	}
 	n := min(len(tr.Vectors), len(vectors))
@@ -105,14 +116,18 @@ func (tr *GoodTrace) validateFor(c *transistor.Circuit, vectors []Vector) error 
 }
 
 // CaptureGoodTraceCtx records the fault-free machine's trajectory over the
-// vector sequence, polling ctx once per vector. A cancelled capture
-// returns the partial (incomplete, not reusable) trace together with the
-// context's error. An unsettled fault-free vector is not an error: the
-// cutoff lands in GoodTrace.UnsettledAt and the trace stays complete —
-// campaigns replaying it stop there, exactly like untraced ones. The
-// capture counts as a swsim_goodtrace_misses event and the trace's
-// footprint lands in the swsim_goodtrace_bytes gauge.
+// vector sequence, polling ctx once per vector. Vectors that do not fit
+// the circuit (see checkVectors) return an error before any simulation. A
+// cancelled capture returns the partial (incomplete, not reusable) trace
+// together with the context's error. An unsettled fault-free vector is not
+// an error: the cutoff lands in GoodTrace.UnsettledAt and the trace stays
+// complete — campaigns replaying it stop there, exactly like untraced
+// ones. The capture counts as a swsim_goodtrace_misses event and the
+// trace's footprint lands in the swsim_goodtrace_bytes gauge.
 func CaptureGoodTraceCtx(ctx context.Context, c *transistor.Circuit, vectors []Vector, reg *obs.Registry) (*GoodTrace, error) {
+	if err := checkVectors(c, vectors); err != nil {
+		return nil, err
+	}
 	good := NewMachine(c)
 	tr := &GoodTrace{Vectors: vectors, States: make([][]Val, 1, len(vectors)+1)}
 	tr.States[0] = append([]Val(nil), good.val...)

@@ -3,6 +3,7 @@ package switchsim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -92,6 +93,15 @@ func TestTracedCampaignBitwiseEqual(t *testing.T) {
 		sameResult(t, nl.Name+"/capture", res, ref)
 		if !tr.Complete() {
 			t.Fatalf("%s: capture-mode trace incomplete", nl.Name)
+		}
+		// The campaign's good machine replays the CCC memo; a plain capture
+		// relaxes every solve. Their states must agree bit for bit.
+		plain, err := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tr.States, plain.States) {
+			t.Fatalf("%s: capture-mode trace differs from CaptureGoodTraceCtx's", nl.Name)
 		}
 
 		for _, w := range []int{1, 4, runtime.NumCPU()} {
@@ -216,9 +226,10 @@ func TestTracedCampaignUnsettledCutoff(t *testing.T) {
 }
 
 // TestTraceValidation pins the loud-failure contract for trace/machine
-// skews: a trace for another circuit, diverging vectors, or an
-// interrupted capture is rejected with a descriptive error before any
-// simulation.
+// skews: a trace for another circuit, diverging vectors, an interrupted
+// capture, or states holding a value outside 0/1/X or a rail off its level
+// (what the CCC memo's index and its constant-rail assumption rely on) are
+// rejected with a descriptive error before any simulation.
 func TestTraceValidation(t *testing.T) {
 	nl := netlist.C17()
 	list, c := buildCampaign(t, nl)
@@ -253,6 +264,57 @@ func TestTraceValidation(t *testing.T) {
 	// Nil trace.
 	if _, err := SimulateFaultsTrace(context.Background(), c, list, vecs, 1, BridgeG, nil, nil); err == nil {
 		t.Fatal("nil trace must be rejected")
+	}
+
+	// Poisoned states.
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(states [][]Val)
+	}{
+		{"value above X", "value 9", func(states [][]Val) { states[3][c.PIs[0]] = 9 }},
+		{"GND at 1", "rail", func(states [][]Val) { states[2][layout.NetGND] = V1 }},
+		{"VDD at X", "rail", func(states [][]Val) { states[0][layout.NetVDD] = VX }},
+	} {
+		bad := &GoodTrace{Vectors: tr.Vectors}
+		for _, st := range tr.States {
+			bad.States = append(bad.States, append([]Val(nil), st...))
+		}
+		tc.mutate(bad.States)
+		if _, err := SimulateFaultsTrace(context.Background(), c, list, vecs, 1, BridgeG, nil, bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCampaignRejectsBadVectors pins the input check of every campaign
+// and capture entry point: a vector holding a value above X, or of the
+// wrong width, is an error before any simulation.
+func TestCampaignRejectsBadVectors(t *testing.T) {
+	nl := netlist.C17()
+	list, c := buildCampaign(t, nl)
+	vecs := randomVectors(len(nl.PIs), 8, 2)
+	high := append([]Vector(nil), vecs...)
+	high[3] = append(Vector(nil), vecs[3]...)
+	high[3][1] = 9
+	narrow := append([]Vector(nil), vecs...)
+	narrow[5] = vecs[5][1:]
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name, want string
+		vecs       []Vector
+	}{
+		{"value above X", "value 9", high},
+		{"narrow vector", "bits", narrow},
+	} {
+		if res, err := SimulateFaultsCtx(ctx, c, list, tc.vecs, 2, BridgeG, nil); err == nil || res != nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: SimulateFaultsCtx = %v, %v; want an error mentioning %q", tc.name, res, err, tc.want)
+		}
+		if _, _, err := SimulateFaultsCapture(ctx, c, list, tc.vecs, 2, BridgeG, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: SimulateFaultsCapture err = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+		if _, err := CaptureGoodTraceCtx(ctx, c, tc.vecs, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: CaptureGoodTraceCtx err = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -23,7 +23,11 @@
 // per-Machine arena that is grown once and reused across solves, and fault
 // configurations are immutable faultPlans installable on any machine of the
 // same circuit in O(1) — which is what lets the campaign loop share one
-// pooled machine per worker across thousands of faults.
+// pooled machine per worker across thousands of faults. Inside a fault
+// campaign most solves skip the relaxation altogether: a CCC the installed
+// fault leaves alone is a pure function of at most eight 0/1/X nets, so
+// the campaign's CCC memo (memo.go) relaxes each such state once and
+// replays it from a table, bitwise identical to the relaxation.
 package switchsim
 
 import (
@@ -159,6 +163,17 @@ func (p *faultPlan) isForced(net int) bool {
 	return false
 }
 
+// isSeed reports whether CCC id hosts part of the fault (a handful of
+// entries at most, so a scan beats any map).
+func (p *faultPlan) isSeed(id int) bool {
+	for _, s := range p.seedCCCs {
+		if s == id {
+			return true
+		}
+	}
+	return false
+}
+
 // cccEdge is one conducting connection inside the node group being solved:
 // a transistor channel, or a bridge edge.
 type cccEdge struct {
@@ -215,6 +230,12 @@ type Machine struct {
 	// accumulate every changed net of a budget-length settle for nothing.
 	track bool
 
+	// memo is the campaign's shared CCC table (nil on plain machines, which
+	// always relax). tableSolves and relaxSolves count the solves each path
+	// took; the campaign loop drains them into swsim_ccc_solves.
+	memo                     *cccMemo
+	tableSolves, relaxSolves int64
+
 	scr solveScratch
 }
 
@@ -267,9 +288,22 @@ func (p *faultPlan) extraFor(key int) [][2]int {
 
 // solveCCC evaluates the CCC group containing id (plus bridge-merged
 // partners) against the machine's current values and appends the nets whose
-// value changed to changed (a scratch buffer owned by settle). All working
-// storage comes from the machine's scratch arena.
+// value changed to changed (a scratch buffer owned by settle). A plan-free
+// CCC on a machine carrying a campaign memo is served from its table; every
+// other solve runs the relaxation.
 func (m *Machine) solveCCC(id int, changed []int) []int {
+	if t := m.table(id); t != nil {
+		m.tableSolves++
+		return m.solveTable(t, id, changed)
+	}
+	m.relaxSolves++
+	return m.relaxCCC(id, changed)
+}
+
+// relaxCCC is solveCCC by max-conductance relaxation, the reference every
+// memo entry is filled from. All working storage comes from the machine's
+// scratch arena.
+func (m *Machine) relaxCCC(id int, changed []int) []int {
 	c := m.c
 	s := &m.scr
 	// Gather the node group: the CCC itself plus CCCs reachable through
