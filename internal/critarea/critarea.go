@@ -11,7 +11,14 @@
 // along the wire: A(x) = L·(x−w).
 //
 // Average critical areas integrate A(x) against the defect-size density of
-// package defect.
+// package defect. ShortArea evaluates one size the direct way: dilate,
+// intersect pairwise, take the union's area. AvgShortArea needs the whole
+// curve x = 1…maxSize and gets it in one pass: the dilations of two rects
+// intersect in a fixed "core" rect grown by x, so the cores of the shape
+// pairs within reach are built once and only grown and swept per size.
+// Both work in half-λ coordinates, so every area is an exact integer count
+// of quarter-λ², and both sum the sizes in the same order: the one-pass
+// average equals Average over ShortArea bit for bit.
 package critarea
 
 import (
@@ -88,9 +95,16 @@ func Average(dist defect.SizeDist, maxSize int, sizeArea func(x int) float64) fl
 	return avg
 }
 
-// AvgShortArea is the size-averaged critical area for shorting a and b.
+// AvgShortArea is the size-averaged critical area for shorting a and b:
+// Average over ShortArea, bit for bit, computed from the shape pairs'
+// cores in one pass (see the package doc).
 func AvgShortArea(a, b []geom.Rect, dist defect.SizeDist, maxSize int) float64 {
-	return Average(dist, maxSize, func(x int) float64 { return ShortArea(a, b, x) })
+	c := curvePool.Get().(*curve)
+	defer curvePool.Put(c)
+	c.build(a, b, maxSize)
+	return Average(dist, maxSize, func(x int) float64 {
+		return float64(c.area(x)) / 4 // quarter-λ² → λ²
+	})
 }
 
 // AvgOpenArea is the size-averaged critical area for severing rects.
@@ -101,27 +115,4 @@ func AvgOpenArea(rects []geom.Rect, dist defect.SizeDist, maxSize int) float64 {
 // AvgCutOpenArea is the size-averaged critical area for killing cuts.
 func AvgCutOpenArea(cuts []geom.Rect, dist defect.SizeDist, maxSize int) float64 {
 	return Average(dist, maxSize, func(x int) float64 { return CutOpenArea(cuts, x) })
-}
-
-// MinShortingSize returns the smallest defect side that can short a and b
-// (one plus the largest per-axis gap between the closest pair), or maxSize+1
-// when even the largest considered defect cannot. Used to prune net pairs
-// before the exact computation.
-func MinShortingSize(a, b []geom.Rect, maxSize int) int {
-	best := maxSize + 1
-	for _, ra := range a {
-		for _, rb := range b {
-			dx, dy := ra.GapTo(rb)
-			g := dx
-			if dy > g {
-				g = dy
-			}
-			// A defect of side x dilates each shape by x/2: shapes with gap g
-			// short when x > g.
-			if g+1 < best {
-				best = g + 1
-			}
-		}
-	}
-	return best
 }

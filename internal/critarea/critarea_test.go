@@ -3,6 +3,7 @@ package critarea
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -151,42 +152,157 @@ func TestAvgCutOpenArea(t *testing.T) {
 	}
 }
 
-func TestMinShortingSize(t *testing.T) {
-	a := []geom.Rect{geom.R(0, 0, 10, 2)}
-	b := []geom.Rect{geom.R(0, 6, 10, 8)} // gap 4
-	if got := MinShortingSize(a, b, 24); got != 5 {
-		t.Fatalf("MinShortingSize = %d, want 5", got)
+// randomRects returns 1..maxN rects with corners in [0, 60) and extents in
+// [1, 20]×[1, 6], the shape mix of TestShortAreaMonotoneInSizeProperty.
+func randomRects(rng *rand.Rand, maxN int) []geom.Rect {
+	rs := make([]geom.Rect, 1+rng.Intn(maxN))
+	for i := range rs {
+		x, y := rng.Intn(60), rng.Intn(60)
+		rs[i] = geom.R(x, y, x+1+rng.Intn(20), y+1+rng.Intn(6))
 	}
-	far := []geom.Rect{geom.R(0, 1000, 10, 1002)}
-	if got := MinShortingSize(a, far, 24); got != 25 {
-		t.Fatalf("unreachable pair must return maxSize+1, got %d", got)
-	}
-	// Consistency with ShortArea: area is zero below the threshold and
-	// positive at it.
-	th := MinShortingSize(a, b, 24)
-	if ShortArea(a, b, th-1) != 0 {
-		t.Fatal("area below threshold must be 0")
-	}
-	if ShortArea(a, b, th) <= 0 {
-		t.Fatal("area at threshold must be positive")
-	}
+	return rs
 }
 
-func TestMinShortingSizeConsistencyProperty(t *testing.T) {
+func TestShortAreaThresholdProperty(t *testing.T) {
+	// A square defect of side x shorts two shapes with per-axis gaps dx, dy
+	// iff x > max(dx, dy): the first size with area is 1 + the closest
+	// pair's larger per-axis gap.
+	const maxSize = 30
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		mk := func() []geom.Rect {
-			x, y := rng.Intn(40), rng.Intn(40)
-			return []geom.Rect{geom.R(x, y, x+1+rng.Intn(10), y+1+rng.Intn(10))}
+		a, b := randomRects(rng, 3), randomRects(rng, 3)
+		g := math.MaxInt
+		for _, ra := range a {
+			for _, rb := range b {
+				dx, dy := ra.GapTo(rb)
+				g = min(g, max(dx, dy))
+			}
 		}
-		a, b := mk(), mk()
-		th := MinShortingSize(a, b, 30)
-		if th > 30 {
-			return ShortArea(a, b, 30) == 0
+		if g+1 > maxSize {
+			return ShortArea(a, b, maxSize) == 0
 		}
-		return ShortArea(a, b, th) > 0 && (th == 1 || ShortArea(a, b, th-1) == 0)
+		return ShortArea(a, b, g+1) > 0 && ShortArea(a, b, g) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// perSizeAvg is the reference AvgShortArea: one ShortArea per size.
+func perSizeAvg(a, b []geom.Rect, dist defect.SizeDist, maxSize int) float64 {
+	return Average(dist, maxSize, func(x int) float64 { return ShortArea(a, b, x) })
+}
+
+func TestAvgShortAreaMatchesPerSizeProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := randomRects(rng, 8), randomRects(rng, 8)
+		dist := defect.SizeDist{X0: 1 + 3*rng.Float64()}
+		maxSize := 1 + rng.Intn(30)
+		got, want := AvgShortArea(a, b, dist, maxSize), perSizeAvg(a, b, dist, maxSize)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Logf("seed %d: one-pass %v, per-size %v", seed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAvgShortAreaConcurrent(t *testing.T) {
+	// Concurrent extractions share the pooled curve buffers; every
+	// goroutine must still get its own pair's exact result.
+	dist := defect.SizeDist{X0: 2}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 50; i++ {
+				a, b := randomRects(rng, 8), randomRects(rng, 8)
+				got, want := AvgShortArea(a, b, dist, 24), perSizeAvg(a, b, dist, 24)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("goroutine %d pair %d: one-pass %v, per-size %v", seed, i, got, want)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+}
+
+func TestAvgShortAreaDegenerate(t *testing.T) {
+	dist := defect.SizeDist{X0: 2}
+	a := []geom.Rect{geom.R(0, 0, 10, 2)}
+	far := []geom.Rect{geom.R(0, 1000, 10, 1002)}
+	for _, c := range []struct {
+		name    string
+		a, b    []geom.Rect
+		maxSize int
+	}{
+		{"empty a", nil, a, 24},
+		{"empty b", a, nil, 24},
+		{"out of reach", a, far, 24},
+		{"no sizes", a, a, 0},
+	} {
+		if got := AvgShortArea(c.a, c.b, dist, c.maxSize); got != 0 {
+			t.Errorf("%s: AvgShortArea = %g, want 0", c.name, got)
+		}
+	}
+	// Identical and zero-width shapes still short from size 1 on.
+	line := []geom.Rect{geom.R(5, 0, 5, 10)}
+	for _, b := range [][]geom.Rect{a, line} {
+		got, want := AvgShortArea(a, b, dist, 24), perSizeAvg(a, b, dist, 24)
+		if want <= 0 || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("AvgShortArea(%v, %v) = %v, want %v", a, b, got, want)
+		}
+	}
+}
+
+// FuzzAvgShortArea checks the one-pass curve against the per-size
+// reference on two small rect sets decoded from the input: a header byte
+// per set count, the size-distribution peak and maxSize, then four bytes
+// per rect (signed corner, unsigned extent mod 32, so zero-width shapes,
+// overlaps, touches and gaps all occur).
+func FuzzAvgShortArea(f *testing.F) {
+	f.Add([]byte{0x21, 3, 24, 0, 0, 100, 2, 0, 6, 100, 2, 2, 3, 2, 2})
+	f.Add([]byte{0x33, 1, 12, 10, 10, 4, 4, 250, 250, 31, 31, 12, 12, 0, 5, 0, 0, 0, 0, 20, 20, 3, 3})
+	f.Add([]byte{0x11, 7, 30, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		na, nb := int(data[0]&0x0f)%6, int(data[0]>>4)%6
+		dist := defect.SizeDist{X0: 0.5 + float64(data[1]%16)/2}
+		maxSize := int(data[2] % 33)
+		data = data[3:]
+		next := func() (geom.Rect, bool) {
+			if len(data) < 4 {
+				return geom.Rect{}, false
+			}
+			x, y := int(int8(data[0])), int(int8(data[1]))
+			r := geom.R(x, y, x+int(data[2]%32), y+int(data[3]%32))
+			data = data[4:]
+			return r, true
+		}
+		var a, b []geom.Rect
+		for i := 0; i < na+nb; i++ {
+			r, ok := next()
+			if !ok {
+				break
+			}
+			if i < na {
+				a = append(a, r)
+			} else {
+				b = append(b, r)
+			}
+		}
+		got, want := AvgShortArea(a, b, dist, maxSize), perSizeAvg(a, b, dist, maxSize)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("a=%v b=%v X0=%g maxSize=%d: one-pass %v, per-size %v", a, b, dist.X0, maxSize, got, want)
+		}
+	})
 }

@@ -1,8 +1,10 @@
 package extract
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"math"
+	"slices"
 
 	"defectsim/internal/critarea"
 	"defectsim/internal/defect"
@@ -42,6 +44,15 @@ var openLayers = []struct {
 	{geom.LayerMetal2, defect.MissingMetal2},
 	{geom.LayerNDiff, defect.MissingActive},
 	{geom.LayerPDiff, defect.MissingActive},
+}
+
+// cutLayers lists cut layers with their missing-cut defect class.
+var cutLayers = []struct {
+	layer geom.Layer
+	dt    defect.Type
+}{
+	{geom.LayerContact, defect.MissingContact},
+	{geom.LayerVia, defect.MissingVia},
 }
 
 // Faults performs inductive fault analysis on L: every extra-material
@@ -94,170 +105,210 @@ func FaultsObs(L *layout.Layout, stats defect.Statistics, reg *obs.Registry) *fa
 	return list
 }
 
-type pairKey struct{ a, b int }
+// netRect is a net-tagged shape on one bridge class's layers.
+type netRect struct {
+	net  int
+	rect geom.Rect
+}
+
+// nearPair is a pair of shapes of different nets that one defect of the
+// largest size can short: shape i on the lower net and shape j on the
+// higher, with key = lower net<<32 | higher net.
+type nearPair struct {
+	key  uint64
+	i, j int32
+}
 
 func extractBridges(L *layout.Layout, stats defect.Statistics, list *fault.List) {
-	maxX := stats.MaxSize
-	bridgeW := make(map[pairKey]float64)
-
+	type contrib struct {
+		a, b int
+		w    float64
+	}
+	var contribs []contrib
+	var shapes []netRect
 	for _, bl := range bridgeLayers {
-		dt, layers := bl.dt, bl.layers
-		cls := stats.Classes[dt]
+		cls := stats.Classes[bl.dt]
 		if cls.Density == 0 {
 			continue
 		}
-		// Collect net-tagged shapes on the class's layers.
-		type idxShape struct {
-			net  int
-			rect geom.Rect
-		}
-		var shapes []idxShape
-		for _, sh := range L.Shapes.Shapes {
-			if sh.Net < 0 {
-				continue
+		shapes = classShapes(L, bl.layers, shapes[:0])
+		forEachNearPair(shapes, stats.MaxSize, func(a, b int, ra, rb []geom.Rect) {
+			if avg := critarea.AvgShortArea(ra, rb, cls.Size, stats.MaxSize); avg > 0 {
+				contribs = append(contribs, contrib{a, b, avg * cls.Density * densityScale})
 			}
-			for _, l := range layers {
-				if sh.Layer == l {
-					shapes = append(shapes, idxShape{sh.Net, sh.Rect})
-					break
-				}
-			}
-		}
-		// Spatial hash to find cross-net shape pairs within reach.
-		step := 4 * maxX
-		buckets := make(map[[2]int][]int)
-		for i, s := range shapes {
-			r := s.rect.Expand(maxX)
-			for gx := floorDiv(r.X0, step); gx <= floorDiv(r.X1, step); gx++ {
-				for gy := floorDiv(r.Y0, step); gy <= floorDiv(r.Y1, step); gy++ {
-					buckets[[2]int{gx, gy}] = append(buckets[[2]int{gx, gy}], i)
-				}
-			}
-		}
-		near := make(map[pairKey]*[2][]geom.Rect) // pair -> nearby shapes per side
-		type seenKey struct {
-			p    pairKey
-			i, j int
-		}
-		seen := make(map[seenKey]bool)
-		for _, idx := range buckets {
-			for ai := 0; ai < len(idx); ai++ {
-				for bi := ai + 1; bi < len(idx); bi++ {
-					i, j := idx[ai], idx[bi]
-					si, sj := shapes[i], shapes[j]
-					if si.net == sj.net {
-						continue
-					}
-					dx, dy := si.rect.GapTo(sj.rect)
-					g := dx
-					if dy > g {
-						g = dy
-					}
-					if g >= maxX {
-						continue
-					}
-					a, b := si.net, sj.net
-					ri, rj := i, j
-					if a > b {
-						a, b = b, a
-						ri, rj = rj, ri
-					}
-					sk := seenKey{pairKey{a, b}, ri, rj}
-					if seen[sk] {
-						continue
-					}
-					seen[sk] = true
-					entry := near[pairKey{a, b}]
-					if entry == nil {
-						entry = new([2][]geom.Rect)
-						near[pairKey{a, b}] = entry
-					}
-					entry[0] = append(entry[0], shapes[ri].rect)
-					entry[1] = append(entry[1], shapes[rj].rect)
-				}
-			}
-		}
-		for pk, sets := range near {
-			a := dedupRects(sets[0])
-			b := dedupRects(sets[1])
-			avg := critarea.AvgShortArea(a, b, cls.Size, maxX)
-			if avg > 0 {
-				bridgeW[pk] += avg * cls.Density * densityScale
-			}
-		}
+		})
 	}
-
-	keys := make([]pairKey, 0, len(bridgeW))
-	for pk := range bridgeW {
-		keys = append(keys, pk)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
+	// A stable sort by pair keeps each pair's classes in bridgeLayers
+	// order, the order their weights are summed in.
+	slices.SortStableFunc(contribs, func(p, q contrib) int {
+		return cmp.Or(cmp.Compare(p.a, q.a), cmp.Compare(p.b, q.b))
 	})
-	for _, pk := range keys {
+	for i := 0; i < len(contribs); {
+		a, b := contribs[i].a, contribs[i].b
+		var w float64
+		for ; i < len(contribs) && contribs[i].a == a && contribs[i].b == b; i++ {
+			w += contribs[i].w
+		}
 		list.Faults = append(list.Faults, fault.Realistic{
-			Kind: fault.KindBridge, NetA: pk.a, NetB: pk.b,
-			Inst: -1, Node: -1, Weight: bridgeW[pk],
+			Kind: fault.KindBridge, NetA: a, NetB: b,
+			Inst: -1, Node: -1, Weight: w,
 		})
 	}
 }
 
-func dedupRects(rs []geom.Rect) []geom.Rect {
-	seen := make(map[geom.Rect]bool, len(rs))
-	out := rs[:0]
-	for _, r := range rs {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
+// classShapes appends to dst L's net-tagged shapes on the given layers, in
+// layout order.
+func classShapes(L *layout.Layout, layers []geom.Layer, dst []netRect) []netRect {
+	for _, sh := range L.Shapes.Shapes {
+		if sh.Net >= 0 && slices.Contains(layers, sh.Layer) {
+			dst = append(dst, netRect{sh.Net, sh.Rect})
 		}
 	}
-	return out
+	return dst
 }
 
-func extractOpens(L *layout.Layout, stats defect.Statistics, list *fault.List) {
-	// Receiver branch regions per net: the vertical column over each input
-	// pad, from the cell bottom to the top of the pin's routing stub.
-	type branchKey struct{ inst, node int }
-	type branch struct {
-		net    int
-		region geom.Rect
+// forEachNearPair calls fn once per net pair a < b, in ascending order,
+// with a shape of a and a shape of b closer than maxX on both axes — the
+// pairs a defect of side maxX or less can short. ra and rb are the rects
+// of the shapes of nets a and b within that reach of the other net, each
+// shape once, in index order; fn must not keep them.
+//
+// Shapes are bucketed by the cells of a grid of step 4·maxX that their
+// rects grown by maxX cover. Two shapes in reach share a cell, and each
+// pair is taken only in the first cell both cover, so no pair is seen
+// twice.
+func forEachNearPair(shapes []netRect, maxX int, fn func(a, b int, ra, rb []geom.Rect)) {
+	if maxX <= 0 || len(shapes) == 0 {
+		return
 	}
-	branches := make(map[branchKey][]branch) // one entry per input pad
-	branchOrder := []branchKey{}
+	step := 4 * maxX
+	cells := make([][4]int, len(shapes)) // gx0, gy0, gx1, gy1
+	lo, hi := [2]int{math.MaxInt, math.MaxInt}, [2]int{math.MinInt, math.MinInt}
+	for i, s := range shapes {
+		r := s.rect.Expand(maxX)
+		c := [4]int{floorDiv(r.X0, step), floorDiv(r.Y0, step), floorDiv(r.X1, step), floorDiv(r.Y1, step)}
+		cells[i] = c
+		lo = [2]int{min(lo[0], c[0]), min(lo[1], c[1])}
+		hi = [2]int{max(hi[0], c[2]), max(hi[1], c[3])}
+	}
+	// The grid as one flat bucket array: cell (gx, gy)'s shapes, in index
+	// order, are grid[start[c]:start[c+1]] with c = (gy-lo)·nx + gx-lo.
+	nx := hi[0] - lo[0] + 1
+	start := make([]int32, nx*(hi[1]-lo[1]+1)+1)
+	for _, c := range cells {
+		for gy := c[1]; gy <= c[3]; gy++ {
+			for gx := c[0]; gx <= c[2]; gx++ {
+				start[(gy-lo[1])*nx+gx-lo[0]+1]++
+			}
+		}
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	grid := make([]int32, start[len(start)-1])
+	fill := slices.Clone(start[:len(start)-1])
+	for i, c := range cells {
+		for gy := c[1]; gy <= c[3]; gy++ {
+			for gx := c[0]; gx <= c[2]; gx++ {
+				cell := (gy-lo[1])*nx + gx - lo[0]
+				grid[fill[cell]] = int32(i)
+				fill[cell]++
+			}
+		}
+	}
+
+	var pairs []nearPair
+	for cell := 0; cell+1 < len(start); cell++ {
+		gx, gy := cell%nx+lo[0], cell/nx+lo[1]
+		idx := grid[start[cell]:start[cell+1]]
+		for ai, i := range idx {
+			si, ci := shapes[i], cells[i]
+			for _, j := range idx[ai+1:] {
+				sj, cj := shapes[j], cells[j]
+				if si.net == sj.net || gx != max(ci[0], cj[0]) || gy != max(ci[1], cj[1]) {
+					continue
+				}
+				if dx, dy := si.rect.GapTo(sj.rect); max(dx, dy) >= maxX {
+					continue
+				}
+				if si.net < sj.net {
+					pairs = append(pairs, nearPair{uint64(si.net)<<32 | uint64(sj.net), i, j})
+				} else {
+					pairs = append(pairs, nearPair{uint64(sj.net)<<32 | uint64(si.net), j, i})
+				}
+			}
+		}
+	}
+	slices.SortFunc(pairs, func(p, q nearPair) int { return cmp.Compare(p.key, q.key) })
+	var ia, ib []int32
+	var ra, rb []geom.Rect
+	for g := 0; g < len(pairs); {
+		key := pairs[g].key
+		ia, ib = ia[:0], ib[:0]
+		for ; g < len(pairs) && pairs[g].key == key; g++ {
+			ia = append(ia, pairs[g].i)
+			ib = append(ib, pairs[g].j)
+		}
+		ra, rb = rectsOf(shapes, ia, ra[:0]), rectsOf(shapes, ib, rb[:0])
+		fn(int(key>>32), int(uint32(key)), ra, rb)
+	}
+}
+
+// rectsOf appends to dst the rects of the shapes in ids, each shape once,
+// in index order. It sorts ids.
+func rectsOf(shapes []netRect, ids []int32, dst []geom.Rect) []geom.Rect {
+	slices.Sort(ids)
+	for _, i := range slices.Compact(ids) {
+		dst = append(dst, shapes[i].rect)
+	}
+	return dst
+}
+
+// branchKey names a receiver branch: an input node of an instance.
+type branchKey struct{ inst, node int }
+
+// branchRegion is the column over one input pad of a receiver branch, from
+// the cell bottom to the top of the pin's routing stub; key indexes the
+// branch in receiverBranches' key order.
+type branchRegion struct {
+	key  int
+	rect geom.Rect
+}
+
+// receiverBranches indexes L's receiver branches. keys lists the branches
+// of signal-net input pins in first-pin order; byNet[n] lists net n's
+// branch regions in pin order.
+func receiverBranches(L *layout.Layout) (keys []branchKey, byNet [][]branchRegion) {
+	index := make(map[branchKey]int)
+	byNet = make([][]branchRegion, len(L.Nets))
 	for _, p := range L.Pins {
 		if !p.Input || p.Net <= layout.NetVDD {
 			continue
 		}
-		instY := L.RowY[p.Row]
-		top := p.StubTop
-		if top < p.Pad.Y1 {
-			top = p.Pad.Y1
-		}
 		bk := branchKey{p.Inst, p.Node}
-		if _, ok := branches[bk]; !ok {
-			branchOrder = append(branchOrder, bk)
+		k, ok := index[bk]
+		if !ok {
+			k = len(keys)
+			index[bk] = k
+			keys = append(keys, bk)
 		}
-		branches[bk] = append(branches[bk], branch{
-			net:    p.Net,
-			region: geom.R(p.Pad.X0-1, instY, p.Pad.X1+1, top),
-		})
+		top := max(p.StubTop, p.Pad.Y1)
+		byNet[p.Net] = append(byNet[p.Net], branchRegion{k, geom.R(p.Pad.X0-1, L.RowY[p.Row], p.Pad.X1+1, top)})
 	}
+	return keys, byNet
+}
 
-	// Partition each signal net's shapes into branch wires and trunk wires.
-	type wires struct {
-		byLayer map[geom.Layer][]geom.Rect
-		cuts    map[geom.Layer][]geom.Rect
-	}
-	newWires := func() *wires {
-		return &wires{byLayer: map[geom.Layer][]geom.Rect{}, cuts: map[geom.Layer][]geom.Rect{}}
-	}
-	trunk := make(map[int]*wires)
-	branchWires := make(map[branchKey]*wires)
-	branchNet := make(map[branchKey]int)
+// wires are the rects of one branch or trunk, per layer (cuts included).
+type wires [geom.NumLayers][]geom.Rect
 
+func extractOpens(L *layout.Layout, stats defect.Statistics, list *fault.List) {
+	// Partition each signal net's shapes into branch wires and trunk
+	// wires: a shape inside a receiver branch region of its net belongs to
+	// the first such branch in pin order, any other to its net's trunk.
+	keys, byNet := receiverBranches(L)
+	branchWires := make([]*wires, len(keys))
+	branchNet := make([]int, len(keys))
+	trunk := make([]*wires, len(L.Nets))
 	for _, sh := range L.Shapes.Shapes {
 		if sh.Net <= layout.NetVDD {
 			continue
@@ -266,40 +317,30 @@ func extractOpens(L *layout.Layout, stats defect.Statistics, list *fault.List) {
 		if !isCut && !sh.Layer.Conducting() {
 			continue
 		}
-		// Does the shape fall inside a receiver branch of its net?
 		var owner *wires
-		for bk, brs := range branches {
-			for _, br := range brs {
-				if br.net == sh.Net && br.region.ContainsRect(sh.Rect) {
-					if branchWires[bk] == nil {
-						branchWires[bk] = newWires()
-						branchNet[bk] = sh.Net
-					}
-					owner = branchWires[bk]
-					break
+		for _, br := range byNet[sh.Net] {
+			if br.rect.ContainsRect(sh.Rect) {
+				if branchWires[br.key] == nil {
+					branchWires[br.key] = new(wires)
+					branchNet[br.key] = sh.Net
 				}
-			}
-			if owner != nil {
+				owner = branchWires[br.key]
 				break
 			}
 		}
 		if owner == nil {
 			if trunk[sh.Net] == nil {
-				trunk[sh.Net] = newWires()
+				trunk[sh.Net] = new(wires)
 			}
 			owner = trunk[sh.Net]
 		}
-		if isCut {
-			owner.cuts[sh.Layer] = append(owner.cuts[sh.Layer], sh.Rect)
-		} else {
-			owner.byLayer[sh.Layer] = append(owner.byLayer[sh.Layer], sh.Rect)
-		}
+		owner[sh.Layer] = append(owner[sh.Layer], sh.Rect)
 	}
 
 	weightOf := func(w *wires) float64 {
 		var sum float64
 		for _, ol := range openLayers {
-			rects := w.byLayer[ol.layer]
+			rects := w[ol.layer]
 			if len(rects) == 0 {
 				continue
 			}
@@ -309,11 +350,8 @@ func extractOpens(L *layout.Layout, stats defect.Statistics, list *fault.List) {
 			}
 			sum += critarea.AvgOpenArea(rects, cls.Size, stats.MaxSize) * cls.Density * densityScale
 		}
-		for _, cl := range []struct {
-			layer geom.Layer
-			dt    defect.Type
-		}{{geom.LayerContact, defect.MissingContact}, {geom.LayerVia, defect.MissingVia}} {
-			cuts := w.cuts[cl.layer]
+		for _, cl := range cutLayers {
+			cuts := w[cl.layer]
 			if len(cuts) == 0 {
 				continue
 			}
@@ -326,8 +364,8 @@ func extractOpens(L *layout.Layout, stats defect.Statistics, list *fault.List) {
 		return sum
 	}
 
-	for _, bk := range branchOrder {
-		w := branchWires[bk]
+	for k, bk := range keys {
+		w := branchWires[k]
 		if w == nil {
 			continue
 		}
@@ -336,17 +374,15 @@ func extractOpens(L *layout.Layout, stats defect.Statistics, list *fault.List) {
 			continue
 		}
 		list.Faults = append(list.Faults, fault.Realistic{
-			Kind: fault.KindOpenInput, NetA: branchNet[bk], NetB: -1,
+			Kind: fault.KindOpenInput, NetA: branchNet[k], NetB: -1,
 			Inst: bk.inst, Node: bk.node, Weight: wt,
 		})
 	}
-	nets := make([]int, 0, len(trunk))
-	for net := range trunk {
-		nets = append(nets, net)
-	}
-	sort.Ints(nets)
-	for _, net := range nets {
-		wt := weightOf(trunk[net])
+	for net, w := range trunk {
+		if w == nil {
+			continue
+		}
+		wt := weightOf(w)
 		if wt <= 0 {
 			continue
 		}

@@ -181,10 +181,13 @@ func TestZeroDensityProducesNoFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats defect.Statistics
-	stats.MaxSize = 24
-	list := Faults(L, stats)
-	if len(list.Faults) != 0 {
-		t.Fatalf("zero densities must give empty list, got %d", len(list.Faults))
+	var zeroDensity defect.Statistics
+	zeroDensity.MaxSize = 24
+	noSizes := defect.Typical()
+	noSizes.MaxSize = 0
+	for name, stats := range map[string]defect.Statistics{"zero densities": zeroDensity, "MaxSize 0": noSizes} {
+		if list := Faults(L, stats); len(list.Faults) != 0 {
+			t.Errorf("%s must give an empty list, got %d faults", name, len(list.Faults))
+		}
 	}
 }

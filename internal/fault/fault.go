@@ -8,9 +8,12 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"defectsim/internal/netlist"
 )
@@ -216,14 +219,40 @@ func (l *List) UnweightedCoverage(detected []bool) float64 {
 }
 
 // SortByWeight orders faults by descending weight (most likely first),
-// breaking ties deterministically.
+// breaking ties by String() and then by input order. Only faults that tie
+// are formatted, once each.
 func (l *List) SortByWeight() {
-	sort.SliceStable(l.Faults, func(i, j int) bool {
-		if l.Faults[i].Weight != l.Faults[j].Weight {
-			return l.Faults[i].Weight > l.Faults[j].Weight
+	type ranked struct {
+		w   float64
+		i   int32
+		key string
+	}
+	fs := l.Faults
+	rs := make([]ranked, len(fs))
+	for i, f := range fs {
+		rs[i] = ranked{w: f.Weight, i: int32(i)}
+	}
+	slices.SortFunc(rs, func(a, b ranked) int { return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.i, b.i)) })
+	for lo := 0; lo < len(rs); {
+		hi := lo + 1
+		for hi < len(rs) && rs[hi].w == rs[lo].w {
+			hi++
 		}
-		return l.Faults[i].String() < l.Faults[j].String()
-	})
+		if hi-lo > 1 {
+			for k := lo; k < hi; k++ {
+				rs[k].key = fs[rs[k].i].String()
+			}
+			slices.SortFunc(rs[lo:hi], func(a, b ranked) int {
+				return cmp.Or(strings.Compare(a.key, b.key), cmp.Compare(a.i, b.i))
+			})
+		}
+		lo = hi
+	}
+	sorted := make([]Realistic, len(fs))
+	for k, r := range rs {
+		sorted[k] = fs[r.i]
+	}
+	copy(fs, sorted)
 }
 
 // CountByKind returns the number of faults of each kind.

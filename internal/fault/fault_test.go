@@ -2,6 +2,9 @@ package fault
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +158,40 @@ func TestSortByWeight(t *testing.T) {
 	l.SortByWeight()
 	if l.Faults[0].Weight != 0.9 || l.Faults[2].Weight != 0.1 {
 		t.Fatalf("not sorted: %v", l.Faults)
+	}
+}
+
+func TestSortByWeightMatchesStringComparator(t *testing.T) {
+	// A shuffled list drawn from few weights, so most faults tie, and
+	// with repeated faults, so some tie on String() too (Inst tells them
+	// apart for bridges). Both ways must give the same order.
+	rng := rand.New(rand.NewSource(7))
+	weights := []float64{0.5, 1e-7, 3e-9, 0, math.Copysign(0, -1), 2.5e-8}
+	var fs []Realistic
+	for i := 0; i < 2000; i++ {
+		f := Realistic{Kind: Kind(rng.Intn(3)), NetA: rng.Intn(40), NetB: -1,
+			Inst: rng.Intn(3), Node: rng.Intn(3), Weight: weights[rng.Intn(len(weights))]}
+		if f.Kind == KindBridge {
+			f.NetB = f.NetA + 1 + rng.Intn(40)
+		}
+		fs = append(fs, f)
+	}
+	for trial := 0; trial < 5; trial++ {
+		rng.Shuffle(len(fs), func(i, j int) { fs[i], fs[j] = fs[j], fs[i] })
+		want := slices.Clone(fs)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Weight != want[j].Weight {
+				return want[i].Weight > want[j].Weight
+			}
+			return want[i].String() < want[j].String()
+		})
+		l := &List{Faults: slices.Clone(fs)}
+		l.SortByWeight()
+		for i := range want {
+			if l.Faults[i] != want[i] || math.Signbit(l.Faults[i].Weight) != math.Signbit(want[i].Weight) {
+				t.Fatalf("trial %d: position %d is %+v, the string comparator puts %+v there", trial, i, l.Faults[i], want[i])
+			}
+		}
 	}
 }
 
