@@ -548,7 +548,7 @@ func benchSwitchSim(b *testing.B, reg func() *obs.Registry) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := switchsim.SimulateFaultsCtx(context.Background(), p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, reg()); err != nil {
+		if _, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, reg(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -563,6 +563,39 @@ func BenchmarkSwitchSimNoopObs(b *testing.B) {
 // BenchmarkSwitchSimTraced is the same campaign with metrics recording.
 func BenchmarkSwitchSimTraced(b *testing.B) {
 	benchSwitchSim(b, func() *obs.Registry { return obs.NewRegistry() })
+}
+
+// BenchmarkSwitchSimSmallCircuits times the switch-level campaigns of the
+// six small circuits dlbench's small_mix workload sends (one seed each,
+// each campaign on its pipeline's test set, good traces captured before
+// the timer starts): the per-fault cost of short jobs, where the campaign
+// is most of a request.
+func BenchmarkSwitchSimSmallCircuits(b *testing.B) {
+	var pipes []*experiments.Pipeline
+	var traces []*switchsim.GoodTrace
+	for _, name := range []string{"c17", "adder", "mux", "parity", "cmp", "dec"} {
+		nl, err := netlist.ByName(name, 1994)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := experiments.Run(nl, experiments.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := p.GoodTrace(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		pipes, traces = append(pipes, p), append(traces, tr)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, p := range pipes {
+			if _, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, p.Vectors(), 0, switchsim.BridgeG, nil, traces[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestNoopInstrumentationZeroAllocs pins down the contract the no-op

@@ -49,7 +49,7 @@ func RunMaxwellAitken(p *Pipeline) (*MaxwellAitkenStudy, error) {
 		}
 		vectors[i] = v
 	}
-	res, err := switchsim.SimulateFaultsCtx(context.Background(), p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, nil)
+	res, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -51,7 +51,7 @@ type NDetectStudy struct {
 // Level 1 is the pipeline's own test set and switch-level campaign —
 // no re-simulation. Each later level grows the previous level's set with
 // atpg.BuildNDetectTestSet (so |T(n)| is monotone) and re-scores the
-// realistic fault list with switchsim.SimulateFaultsTrace, sharing the
+// realistic fault list with switchsim.SimulateFaults, sharing the
 // pipeline's good trace for the base-vector prefix; a level that appends
 // no vectors reuses the previous level's Θ outright. Θ is voltage-test
 // coverage (no IDDQ credit), matching the pipeline's headline Θ and the
@@ -108,7 +108,7 @@ func RunNDetectStudy(ctx context.Context, p *Pipeline, maxN int) (*NDetectStudy,
 		if added > 0 {
 			// Re-score the realistic faults under the grown set. The shared
 			// good trace covers the base-vector prefix; the campaign
-			// continues live past its end for the appended vectors.
+			// extends a copy of it over the appended vectors.
 			vectors := make([]switchsim.Vector, len(patterns))
 			copy(vectors, baseVectors[:min(len(baseVectors), len(patterns))])
 			for i := len(baseVectors); i < len(patterns); i++ {
@@ -118,7 +118,7 @@ func RunNDetectStudy(ctx context.Context, p *Pipeline, maxN int) (*NDetectStudy,
 				}
 				vectors[i] = v
 			}
-			res, err := switchsim.SimulateFaultsTrace(ctx, p.Circuit, p.Faults, vectors,
+			res, _, err := switchsim.SimulateFaults(ctx, p.Circuit, p.Faults, vectors,
 				p.Config.Workers, switchsim.BridgeG, reg, trace)
 			if err != nil {
 				sp.End()

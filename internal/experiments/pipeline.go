@@ -460,10 +460,10 @@ func run(ctx context.Context, nl *netlist.Netlist, cfg Config, cf *cacheFile, fa
 
 		if err := r.stage("switch-sim", func(ctx context.Context) error {
 			vectors := p.Vectors()
-			// Capture mode: the good-machine trajectory this campaign steps
-			// through anyway is recorded and shared (via Pipeline.GoodTrace)
-			// with every downstream campaign on the same circuit and vectors.
-			res, trace, err := switchsim.SimulateFaultsCapture(ctx, p.Circuit, p.Faults, vectors, cfg.Workers, switchsim.BridgeG, reg)
+			// The campaign captures the good-machine trace up front; it is
+			// shared (via Pipeline.GoodTrace) with every downstream campaign
+			// on the same circuit and vectors.
+			res, trace, err := switchsim.SimulateFaults(ctx, p.Circuit, p.Faults, vectors, cfg.Workers, switchsim.BridgeG, reg, nil)
 			p.SwitchRes = res
 			p.setGoodTrace(trace)
 			if err != nil && res != nil && r.budgetExhausted(err) {

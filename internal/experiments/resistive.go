@@ -111,7 +111,7 @@ func RunResistiveBridgeStudy(p *Pipeline, gs []float64) (*ResistiveBridgeStudy, 
 			}
 		}
 		st.Simulated[oi] = len(sub.Faults)
-		res, err := switchsim.SimulateFaultsTrace(context.Background(), p.Circuit, sub, vectors,
+		res, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, sub, vectors,
 			p.Config.Workers, gs[oi], reg, trace)
 		if err != nil {
 			return nil, err

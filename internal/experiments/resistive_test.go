@@ -27,7 +27,7 @@ func exhaustiveSweep(t *testing.T, p *Pipeline, gs []float64) ([]float64, []floa
 	voltage := make([]float64, len(gs))
 	iddq := make([]float64, len(gs))
 	for i, g := range gs {
-		res, err := switchsim.SimulateFaultsTrace(context.Background(), p.Circuit, bridges, vectors,
+		res, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, bridges, vectors,
 			1, g, nil, trace)
 		if err != nil {
 			t.Fatal(err)

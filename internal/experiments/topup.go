@@ -115,8 +115,8 @@ func RunBridgeTopUp(p *Pipeline, maxTargets int) (*BridgeTopUp, error) {
 	}
 
 	// Re-score the full campaign with the extra vectors appended. The
-	// pipeline's good trace covers the original prefix; the simulator
-	// continues on a live machine for the appended tail.
+	// pipeline's good trace covers the original prefix; the campaign
+	// extends a copy of it over the appended tail.
 	base := p.Vectors()
 	vectors := make([]switchsim.Vector, 0, len(base)+len(extra))
 	vectors = append(vectors, base...)
@@ -125,7 +125,7 @@ func RunBridgeTopUp(p *Pipeline, maxTargets int) (*BridgeTopUp, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := switchsim.SimulateFaultsTrace(context.Background(), p.Circuit, p.Faults, vectors,
+	res, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, vectors,
 		p.Config.Workers, switchsim.BridgeG, p.Config.Obs.Metrics(), trace)
 	if err != nil {
 		return nil, err

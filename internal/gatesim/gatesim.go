@@ -279,7 +279,7 @@ func selectBit(x uint64, k int) int {
 // nothing on the hot path.
 //
 // workers sets the worker count (<= 0 selects runtime.NumCPU(), mirroring
-// switchsim.SimulateFaultsCtx). Within each 64-pattern block the good
+// switchsim.SimulateFaults). Within each 64-pattern block the good
 // machine is evaluated once and the live-fault list is sharded across the
 // workers; results are bitwise identical to a serial run for every worker
 // count. See the package comment for the execution model.

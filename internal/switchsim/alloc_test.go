@@ -46,11 +46,55 @@ func TestSettleSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSwappedFaultValuesZeroAllocs pins the campaign's diverged-fault
+// path: a warmed worker machine stepping one fault after another, each
+// fault's own value vector and seed memo swapped in, allocates nothing —
+// a fault owns its values, the worker owns everything the step needs.
+func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation profile differs under -race")
+	}
+	nl := netlist.RippleAdder(4)
+	list, c := buildCampaign(t, nl)
+	vecs := randomVectors(len(nl.PIs), 8, 3)
+	good := NewMachine(c)
+	for _, v := range vecs[:4] {
+		good.Apply(v)
+	}
+	var lives []*live
+	for i, f := range list.Faults {
+		if p, v := planFault(c, f); v == VerdictSimulate {
+			lives = append(lives, &live{idx: i, plan: p, val: append([]Val(nil), good.val...)})
+		}
+		if len(lives) == 6 {
+			break
+		}
+	}
+	w := &worker{m: NewMachine(c)}
+	w.m.memo = newCCCMemo(c)
+	w.home = w.m.val
+	step := func() {
+		for _, lv := range lives {
+			for _, v := range vecs {
+				w.advance(lv, BridgeG, v, nil, nil)
+			}
+		}
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("stepping %d swapped-in fault vectors allocates %v per round, want 0", len(lives), allocs)
+	}
+	if w.m.seedSolves == 0 {
+		t.Fatal("no seed solve was served from a fault's seed memo")
+	}
+}
+
 // TestPooledFaultMachineResetZeroAllocs pins the other half of the
 // contract: re-targeting one machine at a different fault (install a new
 // plan, re-seed from the good state, settle) is allocation-free — the
-// reset the per-worker pools in simulateFaults perform once per clean
-// fault per vector, on machines that carry the campaign's CCC memo.
+// reset each worker machine in SimulateFaults performs once per clean
+// fault per vector, carrying the campaign's CCC memo and the fault's seed
+// memo.
 func TestPooledFaultMachineResetZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation profile differs under -race")
@@ -80,9 +124,13 @@ func TestPooledFaultMachineResetZeroAllocs(t *testing.T) {
 	for _, memo := range []*cccMemo{nil, newCCCMemo(c)} {
 		m := NewMachine(c)
 		m.memo = memo
+		var seeds *seedMemo
+		if memo != nil {
+			seeds = new(seedMemo)
+		}
 		warm := func() {
 			for _, p := range plans {
-				m.install(p, BridgeG)
+				m.install(p, BridgeG, seeds)
 				m.ApplyFromGood(good.val, goodPrev)
 			}
 		}
@@ -124,7 +172,7 @@ func freshMachineCampaign(c *transistor.Circuit, list *fault.List, vectors []Vec
 			}
 		case VerdictSimulate:
 			m := NewMachine(c)
-			m.install(plan, bridgeG)
+			m.install(plan, bridgeG, nil)
 			lives = append(lives, &ref{idx: i, m: m, clean: true})
 		}
 	}
@@ -195,27 +243,50 @@ func freshMachineCampaign(c *transistor.Circuit, list *fault.List, vectors []Vec
 	return res
 }
 
+// oracleCircuit is one circuit the campaign's fresh-machine oracles run
+// on, with the number of random vectors they apply.
+type oracleCircuit struct {
+	nl      *netlist.Netlist
+	vectors int
+}
+
+// oracleCircuits cover every stage width the library builds (wideStages'
+// NAND4/NOR4, the XOR ladders of ParityTree), the mux and decoder
+// generators, and a random 100-gate circuit. The random circuit's
+// ~5 800 faults get fewer vectors: its fresh-machine reference relaxes
+// every solve, which dominates the race tier.
+func oracleCircuits() []oracleCircuit {
+	var out []oracleCircuit
+	for _, nl := range []*netlist.Netlist{
+		netlist.C17(), netlist.RippleAdder(4), netlist.Comparator(3), netlist.ParityTree(8), wideStages(),
+		netlist.MuxTree(3), netlist.Decoder(3),
+	} {
+		out = append(out, oracleCircuit{nl, 48})
+	}
+	return append(out, oracleCircuit{netlist.RandomCircuit("random", 1994, 24, 6, 100), 12})
+}
+
 // TestPooledReuseBitwiseIdenticalToFreshMachines is the property test the
-// pooling rework and the CCC memo must never break: for any worker count,
-// traced or untraced, the pooled, memoized campaign's Result is bitwise
-// identical to the fresh-machine relaxation reference. The circuits cover
-// every stage width the library builds (wideStages' NAND4/NOR4, the XOR
-// ladders of ParityTree). Run under -race by the tier-2 pass, it also
-// exercises concurrent installs on the per-worker pools and concurrent
-// memo fills.
+// per-worker machines, the CCC memo and the seed memos must never break:
+// for any worker count, with a captured or a given trace, and at a hard
+// and a weak bridge conductance, the campaign's Result is bitwise
+// identical to the fresh-machine relaxation reference. Run under -race by
+// the tier-2 pass, it also exercises concurrent installs on the worker
+// machines and concurrent memo fills.
 func TestPooledReuseBitwiseIdenticalToFreshMachines(t *testing.T) {
-	for _, nl := range []*netlist.Netlist{netlist.C17(), netlist.RippleAdder(4), netlist.Comparator(3), netlist.ParityTree(8), wideStages()} {
+	for _, oc := range oracleCircuits() {
+		nl := oc.nl
 		list, c := buildCampaign(t, nl)
-		vecs := randomVectors(len(nl.PIs), 48, 7)
+		vecs := randomVectors(len(nl.PIs), oc.vectors, 7)
 		want := freshMachineCampaign(c, list, vecs, BridgeG, 0)
 		trace, _ := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
 		for _, w := range []int{1, 4, runtime.NumCPU()} {
-			res, err := SimulateFaultsCtx(context.Background(), c, list, vecs, w, BridgeG, nil)
+			res, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", nl.Name, w, err)
 			}
 			sameResult(t, nl.Name+" untraced", want, res)
-			tres, err := SimulateFaultsTrace(context.Background(), c, list, vecs, w, BridgeG, nil, trace)
+			tres, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, trace)
 			if err != nil {
 				t.Fatalf("%s workers=%d traced: %v", nl.Name, w, err)
 			}
@@ -225,7 +296,7 @@ func TestPooledReuseBitwiseIdenticalToFreshMachines(t *testing.T) {
 		// memo serves every other CCC at any conductance.
 		const weak = 1.5
 		want = freshMachineCampaign(c, list, vecs, weak, 0)
-		res, err := SimulateFaultsTrace(context.Background(), c, list, vecs, 0, weak, nil, trace)
+		res, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, weak, nil, trace)
 		if err != nil {
 			t.Fatalf("%s resistive: %v", nl.Name, err)
 		}
@@ -253,7 +324,7 @@ func TestPooledReuseCancelMatchesFreshMachines(t *testing.T) {
 			}
 			return nil
 		})
-		res, err := SimulateFaultsCtx(ctx, c, list, vecs, w, BridgeG, nil)
+		res, _, err := SimulateFaults(ctx, c, list, vecs, w, BridgeG, nil, nil)
 		restore()
 		cancel()
 		if !errors.Is(err, context.Canceled) {

@@ -47,7 +47,7 @@ func NewResistiveFaultMachine(c *transistor.Circuit, f fault.Realistic, bridgeG 
 		return nil, v
 	}
 	m := NewMachine(c)
-	m.install(plan, bridgeG)
+	m.install(plan, bridgeG, nil)
 	return m, v
 }
 
@@ -70,7 +70,7 @@ func planFault(c *transistor.Circuit, f fault.Realistic) (*faultPlan, Verdict) {
 
 	p := &faultPlan{}
 	addSeed := func(id int) {
-		if id >= 0 && !p.isSeed(id) {
+		if id >= 0 && p.seedIndex(id) < 0 {
 			p.seedCCCs = append(p.seedCCCs, id)
 		}
 	}
@@ -87,7 +87,6 @@ func planFault(c *transistor.Circuit, f fault.Realistic) (*faultPlan, Verdict) {
 			return nil, VerdictDetected
 		}
 		br := [2]int{a, b}
-		p.bridges = append(p.bridges, br)
 		addExtra := func(key int) {
 			for i := range p.extraOf {
 				if p.extraOf[i].key == key {
@@ -113,10 +112,7 @@ func planFault(c *transistor.Circuit, f fault.Realistic) (*faultPlan, Verdict) {
 	case fault.KindOpenInput:
 		for di, d := range c.Devices {
 			if d.Inst == f.Inst && d.Node == f.Node {
-				if p.removedDev == nil {
-					p.removedDev = map[int]bool{}
-				}
-				p.removedDev[di] = true
+				p.removedDev = append(p.removedDev, int32(di))
 				addSeed(c.CCCOf[d.Source])
 				addSeed(c.CCCOf[d.Drain])
 			}
@@ -134,10 +130,7 @@ func planFault(c *transistor.Circuit, f fault.Realistic) (*faultPlan, Verdict) {
 		net := f.NetA
 		for di, d := range c.Devices {
 			if d.Source == net || d.Drain == net {
-				if p.removedDev == nil {
-					p.removedDev = map[int]bool{}
-				}
-				p.removedDev[di] = true
+				p.removedDev = append(p.removedDev, int32(di))
 				addSeed(c.CCCOf[d.Source])
 				addSeed(c.CCCOf[d.Drain])
 			}
@@ -218,13 +211,25 @@ func (r *Result) DetectedBy(k int, iddq bool) []bool {
 // observation, and repeatedly re-relaxing it wastes the whole budget.
 const oscStrikeLimit = 3
 
-// SimulateFaultsCtx runs the fault list against the vector sequence on
-// circuit c. Detection is static voltage observation at the primary
-// outputs: a fault is detected by vector k when some PO is definite (0/1)
-// in both the good and faulty machine and the values differ — X outputs
-// never detect (the paper's "steady-state voltage measurement" pessimism).
-// Detected faults are dropped; the good/faulty state-sharing fast path
-// keeps undetected faults cheap while they shadow the good machine.
+// SimulateFaults runs the fault list against the vector sequence on
+// circuit c and returns the result together with the good trace it ran
+// on. Detection is static voltage observation at the primary outputs: a
+// fault is detected by vector k when some PO is definite (0/1) in both the
+// good and faulty machine and the values differ — X outputs never detect
+// (the paper's "steady-state voltage measurement" pessimism). Detected
+// faults are dropped; the good/faulty state-sharing fast path keeps
+// undetected faults cheap while they shadow the good machine.
+//
+// The fault-free machine's values come from a GoodTrace. With trace nil
+// the campaign captures one up front (a swsim_goodtrace_misses event; its
+// footprint lands in swsim_goodtrace_bytes); a given trace counts one
+// swsim_goodtrace_hits event and must have been captured on c over a
+// vector sequence agreeing with vectors on their common prefix (a skew is
+// an error before any simulation). A trace shorter than vectors is
+// extended over the rest into a new trace; the given one is read shared
+// and never written, so any number of concurrent campaigns may use it.
+// The returned trace is complete (reusable by later campaigns) unless the
+// context ended the capture early.
 //
 // workers sets the number of goroutines advancing fault machines (≤ 0
 // selects runtime.NumCPU() via the shared internal/par policy). Fault
@@ -241,75 +246,18 @@ const oscStrikeLimit = 3
 // context stops the campaign promptly, returning the partial result
 // (detections so far, remaining live faults marked Undecided,
 // VectorsApplied recording where it stopped) together with the context's
-// error. A fault-free machine that fails to settle no longer aborts the
+// error. A fault-free machine that fails to settle does not abort the
 // run: simulation stops at that vector, the event lands in
 // Result.GoodUnsettledAt, and live faults become Undecided. Vectors that
 // do not fit c (see checkVectors) return an error before any simulation.
-func SimulateFaultsCtx(ctx context.Context, c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry) (*Result, error) {
-	res, _, err := simulateFaults(ctx, c, list, vectors, workers, bridgeG, reg, nil, false)
-	return res, err
-}
-
-// SimulateFaultsTrace is SimulateFaultsCtx reading the fault-free
-// machine's per-vector values from a precomputed GoodTrace instead of
-// stepping its own good machine — the per-vector IDDQ bridge screen and
-// the ApplyFromGood shared-state fast path read straight from the cached
-// state slices. Results are bitwise identical to the untraced variants for
-// any worker count, including partial results under cancellation: the
-// trace replays exactly the values a live good machine would produce,
-// and a recorded unsettled cutoff (GoodTrace.UnsettledAt) stops the
-// campaign at the same vector an untraced run would stop at.
-//
-// The trace must have been captured on the same circuit over a vector
-// sequence that agrees with vectors on their common prefix (a skew
-// returns a descriptive error before any simulation). Campaigns longer
-// than the trace continue on a live machine seeded from the last recorded
-// state. The trace is read shared and never written, so any number of
-// concurrent campaigns may use one trace. Each traced campaign counts one
-// swsim_goodtrace_hits event.
-func SimulateFaultsTrace(ctx context.Context, c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry, trace *GoodTrace) (*Result, error) {
-	if err := trace.validateFor(c, vectors); err != nil {
-		return nil, err
-	}
-	reg.Counter("swsim_goodtrace_hits").Inc()
-	res, _, err := simulateFaults(ctx, c, list, vectors, workers, bridgeG, reg, trace, false)
-	return res, err
-}
-
-// SimulateFaultsCapture is SimulateFaultsCtx additionally recording the
-// fault-free machine's trajectory as a GoodTrace while the campaign runs —
-// the good machine is stepped anyway, so capture costs only the state
-// copies. The returned trace is complete (reusable via
-// SimulateFaultsTrace) unless the campaign was cancelled mid-run; check
-// GoodTrace.Complete before sharing it. A capture counts one
-// swsim_goodtrace_misses event — the campaign needed a good trace and had
-// none — and records the trace footprint in swsim_goodtrace_bytes.
-func SimulateFaultsCapture(ctx context.Context, c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry) (*Result, *GoodTrace, error) {
-	return simulateFaults(ctx, c, list, vectors, workers, bridgeG, reg, nil, true)
-}
-
-// live is one not-yet-resolved fault in the campaign loop. While the fault
-// has never diverged from the good machine (m == nil, clean == true) it
-// owns no state at all: the worker advances it on its pooled machine and
-// releases the machine immediately. The first divergence (or failed
-// settle) promotes the pooled machine into a dedicated one, preserving the
-// fault's private node state across vectors.
-type live struct {
-	idx     int
-	plan    *faultPlan
-	m       *Machine // nil while the fault still shadows the good machine
-	clean   bool
-	strikes int // unsettled vectors so far; oscStrikeLimit → undecided
-}
-
-// simulateFaults is the shared campaign loop behind every SimulateFaults*
-// variant. With trace set, good-machine values come from the recorded
-// states (live stepping resumes past the trace's end); with capture set
-// (mutually exclusive with trace), the stepped states are recorded into
-// the returned GoodTrace.
-func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry, trace *GoodTrace, capture bool) (*Result, *GoodTrace, error) {
+func SimulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry, trace *GoodTrace) (*Result, *GoodTrace, error) {
 	if err := checkVectors(c, vectors); err != nil {
 		return nil, nil, err
+	}
+	if trace != nil {
+		if err := trace.validateFor(c, vectors); err != nil {
+			return nil, nil, err
+		}
 	}
 	res := &Result{
 		DetectedAt: make([]int, len(list.Faults)),
@@ -324,6 +272,7 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		mVectors  = reg.Counter("swsim_vectors_applied")
 		mSolves   = reg.CounterVec("swsim_ccc_solves", "path")
 		mTable    = mSolves.With("table")
+		mSeed     = mSolves.With("seed")
 		mRelax    = mSolves.With("relax")
 		hDetectAt *obs.Histogram
 	)
@@ -331,6 +280,7 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		hDetectAt = reg.Histogram("swsim_vectors_to_detect", obs.ExpBuckets(1, 2, 10))
 	}
 	var lives []*live
+	slab := make([]live, 0, len(list.Faults))
 	for i, f := range list.Faults {
 		plan, v := planFault(c, f)
 		switch v {
@@ -343,9 +293,10 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		case VerdictSimulate:
 			// A never-advanced fault's state (all X) matches the good
 			// machine's pre-state, so the cheap shared-state path applies
-			// from the very first vector — no machine needed until the
+			// from the very first vector — no values of its own until the
 			// fault first diverges.
-			lives = append(lives, &live{idx: i, plan: plan, clean: true})
+			slab = append(slab, live{idx: i, plan: plan})
+			lives = append(lives, &slab[len(slab)-1])
 		}
 	}
 
@@ -353,52 +304,23 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 	if reg != nil {
 		reg.Gauge("swsim_workers").Set(float64(workers))
 	}
-
-	// One CCC memo serves the whole campaign: the good machine and every
-	// pooled or promoted fault machine replay plan-free CCC solves from it.
+	// One CCC memo serves the whole campaign: the good machine that
+	// captures or extends the trace and every worker machine replay
+	// plan-free CCC solves from it.
 	memo := newCCCMemo(c)
-	newMachine := func() *Machine {
+	pool := make([]worker, workers)
+	for wi := range pool {
 		m := NewMachine(c)
 		m.memo = memo
-		return m
+		pool[wi] = worker{m: m, home: m.val}
 	}
-
-	// Fault-free reference: a live machine when no trace is given, the
-	// recorded states otherwise (a live machine is still created past the
-	// trace's end, seeded from its last state).
-	var (
-		good        *Machine
-		goodPrevBuf []Val
-		capTrace    *GoodTrace
-	)
-	startLive := func() {
-		good = newMachine()
-		if trace != nil {
-			copy(good.val, trace.States[len(trace.States)-1])
-		}
-		goodPrevBuf = make([]Val, len(good.val))
-	}
-	if trace == nil {
-		startLive()
-	}
-	if capture {
-		capTrace = &GoodTrace{Vectors: vectors, States: make([][]Val, 1, len(vectors)+1)}
-		capTrace.States[0] = append([]Val(nil), good.val...)
-		reg.Counter("swsim_goodtrace_misses").Inc()
-	}
-	// One pooled machine per worker, created lazily and reinstalled per
-	// clean fault; promoted (handed over) to a live the moment that fault
-	// diverges. Steady-state machine count = workers + dirty faults,
-	// instead of one machine per fault.
-	pool := make([]*Machine, workers)
-	oscillations := make([]int64, workers)
 	// finalize folds the per-worker oscillation counts and flushes the
 	// campaign-level metrics once the vector loop is done (normally or on
 	// an early stop after k vectors).
 	finalize := func(k int) {
 		res.VectorsApplied = k
-		for _, o := range oscillations {
-			res.Oscillations += int(o)
+		for wi := range pool {
+			res.Oscillations += int(pool[wi].oscillations)
 		}
 		if reg != nil {
 			undecided := int64(0)
@@ -422,48 +344,38 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		finalize(k)
 		return res
 	}
+
+	var err error
+	if trace == nil {
+		reg.Counter("swsim_goodtrace_misses").Inc()
+		if trace, err = extendTrace(ctx, c, memo, nil, vectors); err == nil {
+			reg.Gauge("swsim_goodtrace_bytes").Set(float64(trace.Bytes()))
+		}
+	} else {
+		reg.Counter("swsim_goodtrace_hits").Inc()
+		trace, err = extendTrace(ctx, c, memo, trace, vectors)
+	}
+	if err != nil {
+		return stop(0), trace, err
+	}
+
 	drop := make([]bool, len(lives))
 	for k, vec := range vectors {
 		if err := faultinject.Fire(ctx, faultinject.HookSwitchSimVector); err != nil {
-			return stop(k), capTrace, err
+			return stop(k), trace, err
 		}
 		if err := ctx.Err(); err != nil {
-			return stop(k), capTrace, err
+			return stop(k), trace, err
 		}
-		var goodVal, goodPrev []Val
-		switch {
-		case trace != nil && k+1 < len(trace.States):
-			goodPrev, goodVal = trace.States[k], trace.States[k+1]
-		case trace != nil && trace.UnsettledAt == k+1:
-			// The trace records that the fault-free machine failed to settle
-			// here; stop exactly where an untraced campaign would.
+		if trace.UnsettledAt == k+1 {
+			// The fault-free machine failed to settle here: its trace is
+			// untrustworthy from this vector on, so degrade instead of
+			// failing the whole campaign.
 			res.GoodUnsettledAt = k + 1
 			reg.Counter("swsim_good_unsettled").Inc()
-			return stop(k), capTrace, nil
-		default:
-			if good == nil {
-				// First vector past the trace's end: continue live from the
-				// last recorded state (a settled fixpoint, so incremental
-				// event propagation from the changed PIs stays exact).
-				startLive()
-			}
-			copy(goodPrevBuf, good.val)
-			if !good.Apply(vec) {
-				// The fault-free machine's trace is untrustworthy from here
-				// on; degrade instead of failing the whole campaign.
-				res.GoodUnsettledAt = k + 1
-				reg.Counter("swsim_good_unsettled").Inc()
-				if capture {
-					capTrace.UnsettledAt = k + 1
-					reg.Gauge("swsim_goodtrace_bytes").Set(float64(capTrace.Bytes()))
-				}
-				return stop(k), capTrace, nil
-			}
-			goodPrev, goodVal = goodPrevBuf, good.val
+			return stop(k), trace, nil
 		}
-		if capture {
-			capTrace.States = append(capTrace.States, append([]Val(nil), goodVal...))
-		}
+		goodPrev, goodVal := trace.States[k], trace.States[k+1]
 
 		// IDDQ screening of bridges (needs only good values): quiescent
 		// current flows when the bridged nodes are driven to opposite
@@ -478,104 +390,68 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 			}
 		}
 
-		// Advance every live fault; each fault touches only its own state
-		// (or the worker's pooled machine), so the work shards freely.
+		// Advance every live fault; each fault touches only its own values
+		// (or its worker's home vector), so the work shards freely.
 		mVectors.Inc()
 		drop = drop[:len(lives)]
 		clear(drop)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for wi := range pool {
 			wg.Add(1)
-			go func(w int) {
+			go func(wi int) {
 				defer wg.Done()
-				var steps, fast, tableSolves, relaxSolves int64
-				pm := pool[w]
-				// pmGood tracks whether pm.val equals this vector's goodVal
-				// elementwise: after a pooled fault stays clean it does, and
-				// the next clean fault's applyFromGood can skip the full-state
-				// copy — the pooled fast path touches only fault-local nets.
-				pmGood := false
-				for li := w; li < len(lives); li += workers {
+				w := &pool[wi]
+				m := w.m
+				w.homeGood = false
+				var steps, fast int64
+				for li := wi; li < len(lives); li += workers {
 					lv := lives[li]
 					steps++
-					mm := lv.m
-					usingPool := false
-					if mm == nil {
-						// Clean, never-diverged fault: borrow the worker's
-						// pooled machine. applyFromGood overwrites (or asserts)
-						// the full state, so the outcome is identical to a
-						// dedicated machine's.
-						if pm == nil {
-							pm = newMachine()
-						}
-						pm.install(lv.plan, bridgeG)
-						mm = pm
-						usingPool = true
-					}
-					var ok bool
-					wasClean := lv.clean
-					if wasClean {
+					clean := lv.val == nil
+					if clean {
 						fast++
-						ok = mm.applyFromGood(goodVal, goodPrev, usingPool && pmGood)
-					} else {
-						ok = mm.Apply(vec)
 					}
-					tableSolves += mm.tableSolves
-					relaxSolves += mm.relaxSolves
-					mm.tableSolves, mm.relaxSolves = 0, 0
+					ok := w.advance(lv, bridgeG, vec, goodPrev, goodVal)
 					if !ok {
-						oscillations[w]++
+						w.oscillations++
 						lv.strikes++
-						lv.clean = false
-						if usingPool {
+						switch {
+						case lv.strikes >= oscStrikeLimit:
+							// Dropped as undecided below.
+							w.retire(lv)
+						case clean:
 							// The partially-relaxed state is the fault's
-							// history now; the pooled machine becomes its
-							// dedicated one.
-							lv.m, pm, pmGood = pm, nil, false
+							// history now.
+							w.promote(lv)
 						}
 						continue
 					}
-					detected := false
-					for _, po := range c.POs {
-						gv, fv := goodVal[po], mm.val[po]
-						if gv != VX && fv != VX && gv != fv {
-							detected = true
-							break
-						}
-					}
-					if detected {
+					if detects(c, goodVal, m.val) {
 						res.DetectedAt[lv.idx] = k + 1
 						drop[li] = true
-						if usingPool {
-							// The dropped fault's divergent state stays in the
-							// pool; the next borrower must copy the good state.
-							pmGood = false
-						}
+						w.retire(lv)
 						continue
 					}
-					if wasClean {
-						// The apply started from the good state, so only the
-						// nets it touched can differ — no full-circuit scan.
-						lv.clean = mm.cleanAgainst(goodVal)
-					} else {
-						lv.clean = equalVals(mm.val, goodVal)
-					}
-					if usingPool {
-						if lv.clean {
-							pmGood = true
-						} else {
-							// First divergence: promote the pooled machine so
-							// the fault's private state persists across vectors.
-							lv.m, pm, pmGood = pm, nil, false
-						}
+					switch {
+					case clean && m.cleanAgainst(goodVal):
+						// The apply started from the good state, so only
+						// the nets it touched can differ — no full scan.
+						w.homeGood = true
+					case clean:
+						// First divergence: the fault keeps its values.
+						w.promote(lv)
+					case equalVals(lv.val, goodVal):
+						// Re-converged: the trace holds its state again.
+						w.release(lv)
 					}
 				}
-				pool[w] = pm
 				mSteps.Add(steps)
 				mFastPath.Add(fast)
-				mTable.Add(tableSolves)
-				mRelax.Add(relaxSolves)
-			}(w)
+				mTable.Add(m.tableSolves)
+				mSeed.Add(m.seedSolves)
+				mRelax.Add(m.relaxSolves)
+				m.tableSolves, m.seedSolves, m.relaxSolves = 0, 0, 0
+			}(wi)
 		}
 		wg.Wait()
 		keep := lives[:0]
@@ -595,10 +471,88 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		lives = keep
 	}
 	finalize(len(vectors))
-	if capture {
-		reg.Gauge("swsim_goodtrace_bytes").Set(float64(capTrace.Bytes()))
+	return res, trace, nil
+}
+
+// live is one not-yet-resolved fault in the campaign loop. It owns only
+// its node values, its strike count and its seed memo: while the fault's
+// state equals the good machine's (val == nil, the clean flag) it owns no
+// values at all and steps on its worker's home vector; its first
+// divergence (or failed settle) hands it that vector, and it hands a
+// vector back when it re-converges or drops.
+type live struct {
+	idx     int
+	plan    *faultPlan
+	val     []Val // nil while the fault shadows the good machine
+	strikes int   // unsettled vectors so far; oscStrikeLimit → undecided
+	seeds   seedMemo
+}
+
+// worker is one campaign goroutine's state, kept across vectors: the
+// machine every fault it advances runs on (event queue, scratch arenas,
+// CCC-memo handle), the home vector clean faults step on, and the value
+// vectors of re-converged or dropped faults, recycled for the next
+// divergence. homeGood records that home equals the current vector's good
+// state — after a clean fault stays clean it does, so the next clean
+// fault's applyFromGood skips the full-state copy.
+type worker struct {
+	m            *Machine
+	home         []Val
+	homeGood     bool
+	free         [][]Val
+	oscillations int64
+}
+
+// advance steps fault lv over one vector on the worker's machine: a clean
+// fault by the shared-state fast path on the home vector, a diverged one
+// by a full Apply on its own values.
+func (w *worker) advance(lv *live, bridgeG float64, vec Vector, goodPrev, goodVal []Val) bool {
+	w.m.install(lv.plan, bridgeG, &lv.seeds)
+	if lv.val == nil {
+		w.m.val = w.home
+		return w.m.applyFromGood(goodVal, goodPrev, w.homeGood)
 	}
-	return res, capTrace, nil
+	w.m.val = lv.val
+	return w.m.Apply(vec)
+}
+
+// promote hands the home vector, which now holds clean fault lv's
+// diverged state, to lv and takes a recycled or new one.
+func (w *worker) promote(lv *live) {
+	lv.val = w.home
+	if n := len(w.free); n > 0 {
+		w.home, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		w.home = make([]Val, len(lv.val))
+	}
+	w.homeGood = false
+}
+
+// release recycles a diverged fault's values once it needs none.
+func (w *worker) release(lv *live) {
+	w.free = append(w.free, lv.val)
+	lv.val = nil
+}
+
+// retire frees what fault lv, dropped after this step, held: its own
+// values, or the home vector it left diverged.
+func (w *worker) retire(lv *live) {
+	if lv.val == nil {
+		w.homeGood = false
+		return
+	}
+	w.release(lv)
+}
+
+// detects reports whether some PO is definite in both the good and the
+// faulty state and the values differ.
+func detects(c *transistor.Circuit, good, faulty []Val) bool {
+	for _, po := range c.POs {
+		if gv, fv := good[po], faulty[po]; gv != VX && fv != VX && gv != fv {
+			return true
+		}
+	}
+	return false
 }
 
 // checkVectors rejects a vector sequence the simulator cannot apply to c:

@@ -16,8 +16,8 @@ import (
 // machine is campaign-invariant — every realistic-fault coverage figure is
 // computed against the same fault-free reference — so one captured trace
 // can be shared read-only across any number of fault campaigns on the same
-// circuit and vectors (SimulateFaultsTrace), eliminating the redundant
-// good-machine pass each campaign used to run.
+// circuit and vectors (SimulateFaults), eliminating the redundant
+// good-machine pass each campaign would otherwise run.
 //
 // A trace is immutable after capture; concurrent campaigns may read it
 // freely. It is only valid for the circuit it was captured on and for
@@ -79,8 +79,8 @@ func (tr *GoodTrace) Bytes() int {
 // campaign's CCC memo is keyed by those values and treats the rails as
 // constant), and its vector sequence agrees with the campaign's on their
 // common prefix. Campaigns longer than the trace are allowed — the
-// simulator seeds a live machine from the last recorded state and
-// continues (the top-up studies append extra vectors to the shared set).
+// campaign extends it from the last recorded state (the top-up studies
+// append extra vectors to the shared set).
 func (tr *GoodTrace) validateFor(c *transistor.Circuit, vectors []Vector) error {
 	if tr == nil || len(tr.States) == 0 {
 		return errors.New("switchsim: good trace is nil or empty")
@@ -128,20 +128,45 @@ func CaptureGoodTraceCtx(ctx context.Context, c *transistor.Circuit, vectors []V
 	if err := checkVectors(c, vectors); err != nil {
 		return nil, err
 	}
-	good := NewMachine(c)
-	tr := &GoodTrace{Vectors: vectors, States: make([][]Val, 1, len(vectors)+1)}
-	tr.States[0] = append([]Val(nil), good.val...)
 	reg.Counter("swsim_goodtrace_misses").Inc()
-	for k, vec := range vectors {
+	tr, err := extendTrace(ctx, c, nil, nil, vectors)
+	if err != nil {
+		return tr, err
+	}
+	reg.Gauge("swsim_goodtrace_bytes").Set(float64(tr.Bytes()))
+	return tr, nil
+}
+
+// extendTrace returns a trace covering vectors: base itself when it
+// already does or records an unsettled cutoff, otherwise a new trace
+// holding base's states (nil base: the reset state) followed by those of a
+// fault-free machine stepped from base's last state over the remaining
+// vectors. base is never written. The machine replays plan-free solves
+// from memo (nil: it relaxes every solve). ctx is polled once per vector;
+// a cancelled extension returns the partial trace with the context's
+// error.
+func extendTrace(ctx context.Context, c *transistor.Circuit, memo *cccMemo, base *GoodTrace, vectors []Vector) (*GoodTrace, error) {
+	if base != nil && (base.UnsettledAt > 0 || base.Applied() >= len(vectors)) {
+		return base, nil
+	}
+	good := NewMachine(c)
+	good.memo = memo
+	tr := &GoodTrace{Vectors: vectors, States: make([][]Val, 0, len(vectors)+1)}
+	if base == nil {
+		tr.States = append(tr.States, append([]Val(nil), good.val...))
+	} else {
+		tr.States = append(tr.States, base.States...)
+		copy(good.val, base.States[len(base.States)-1])
+	}
+	for k := tr.Applied(); k < len(vectors); k++ {
 		if err := ctx.Err(); err != nil {
 			return tr, err
 		}
-		if !good.Apply(vec) {
+		if !good.Apply(vectors[k]) {
 			tr.UnsettledAt = k + 1
 			break
 		}
 		tr.States = append(tr.States, append([]Val(nil), good.val...))
 	}
-	reg.Gauge("swsim_goodtrace_bytes").Set(float64(tr.Bytes()))
 	return tr, nil
 }

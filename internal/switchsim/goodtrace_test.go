@@ -74,19 +74,19 @@ func TestCaptureGoodTraceMatchesRun(t *testing.T) {
 }
 
 // TestTracedCampaignBitwiseEqual is the shared-trace core property: for
-// every worker count, a campaign replaying a captured trace is bitwise
-// identical to one stepping its own good machine, and the capture variant
-// produces both the identical result and a reusable trace.
+// every worker count, a campaign replaying a given trace is bitwise
+// identical to one capturing its own, and the captured trace equals a
+// plain CaptureGoodTraceCtx's and is reusable.
 func TestTracedCampaignBitwiseEqual(t *testing.T) {
 	for _, nl := range []*netlist.Netlist{netlist.C17(), netlist.RippleAdder(4)} {
 		list, c := buildCampaign(t, nl)
 		vecs := randomVectors(len(nl.PIs), 48, 21)
-		ref, err := SimulateFaultsCtx(context.Background(), c, list, vecs, 0, BridgeG, nil)
+		ref, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		res, tr, err := SimulateFaultsCapture(context.Background(), c, list, vecs, 0, BridgeG, nil)
+		res, tr, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestTracedCampaignBitwiseEqual(t *testing.T) {
 		}
 
 		for _, w := range []int{1, 4, runtime.NumCPU()} {
-			traced, err := SimulateFaultsTrace(context.Background(), c, list, vecs, w, BridgeG, nil, tr)
+			traced, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,11 +115,11 @@ func TestTracedCampaignBitwiseEqual(t *testing.T) {
 		// Resistive conductances exercise the verdict and oscillation paths
 		// differently; the trace is bridge-model independent.
 		for _, g := range []float64{20, 1.5, 0.3} {
-			refG, err := SimulateFaultsCtx(context.Background(), c, list, vecs, 1, g, nil)
+			refG, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, g, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tracedG, err := SimulateFaultsTrace(context.Background(), c, list, vecs, 1, g, nil, tr)
+			tracedG, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, g, nil, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,19 +129,19 @@ func TestTracedCampaignBitwiseEqual(t *testing.T) {
 }
 
 // TestTracedCampaignPrefixExtension covers the top-up pattern: the trace
-// spans a prefix of the campaign's vectors and the simulator continues on
-// a live machine seeded from the last recorded state.
+// spans a prefix of the campaign's vectors and the campaign extends it
+// from the last recorded state.
 func TestTracedCampaignPrefixExtension(t *testing.T) {
 	nl := netlist.RippleAdder(3)
 	list, c := buildCampaign(t, nl)
 	vecs := randomVectors(len(nl.PIs), 40, 8)
 	tr, _ := CaptureGoodTraceCtx(context.Background(), c, vecs[:25], nil)
-	ref, err := SimulateFaultsCtx(context.Background(), c, list, vecs, 0, BridgeG, nil)
+	ref, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
-		got, err := SimulateFaultsTrace(context.Background(), c, list, vecs, w, BridgeG, nil, tr)
+		got, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,9 +174,9 @@ func TestTracedCampaignCancelMidRun(t *testing.T) {
 		var res *Result
 		var err error
 		if traced {
-			res, err = SimulateFaultsTrace(ctx, c, list, vecs, 0, BridgeG, nil, tr)
+			res, _, err = SimulateFaults(ctx, c, list, vecs, 0, BridgeG, nil, tr)
 		} else {
-			res, err = SimulateFaultsCtx(ctx, c, list, vecs, 0, BridgeG, nil)
+			res, _, err = SimulateFaults(ctx, c, list, vecs, 0, BridgeG, nil, nil)
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("traced=%v: err = %v, want context.Canceled", traced, err)
@@ -202,7 +202,7 @@ func TestTracedCampaignUnsettledCutoff(t *testing.T) {
 		t.Fatal("truncated trace with a recorded cutoff must count as complete")
 	}
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
-		res, err := SimulateFaultsTrace(context.Background(), c, list, vecs, w, BridgeG, nil, trunc)
+		res, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, trunc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestTracedCampaignUnsettledCutoff(t *testing.T) {
 			t.Fatalf("workers=%d: GoodUnsettledAt=%d VectorsApplied=%d, want %d/%d",
 				w, res.GoodUnsettledAt, res.VectorsApplied, cut, cut-1)
 		}
-		ref, err := SimulateFaultsCtx(context.Background(), c, list, vecs, 0, BridgeG, nil)
+		ref, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,13 +240,13 @@ func TestTraceValidation(t *testing.T) {
 	nl2 := netlist.RippleAdder(4)
 	_, c2 := buildCampaign(t, nl2)
 	vecs2 := randomVectors(len(nl2.PIs), 16, 2)
-	if _, err := SimulateFaultsTrace(context.Background(), c2, list, vecs2, 1, BridgeG, nil, tr); err == nil || !strings.Contains(err.Error(), "nets") {
+	if _, _, err := SimulateFaults(context.Background(), c2, list, vecs2, 1, BridgeG, nil, tr); err == nil || !strings.Contains(err.Error(), "nets") {
 		t.Fatalf("cross-circuit trace: err = %v, want net-count mismatch", err)
 	}
 
 	// Diverging vectors.
 	other := randomVectors(len(nl.PIs), 16, 99)
-	if _, err := SimulateFaultsTrace(context.Background(), c, list, other, 1, BridgeG, nil, tr); err == nil || !strings.Contains(err.Error(), "diverge") {
+	if _, _, err := SimulateFaults(context.Background(), c, list, other, 1, BridgeG, nil, tr); err == nil || !strings.Contains(err.Error(), "diverge") {
 		t.Fatalf("diverging vectors: err = %v, want divergence error", err)
 	}
 
@@ -257,13 +257,13 @@ func TestTraceValidation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || part.Complete() {
 		t.Fatalf("cancelled capture: err=%v complete=%v", err, part.Complete())
 	}
-	if _, err := SimulateFaultsTrace(context.Background(), c, list, vecs, 1, BridgeG, nil, part); err == nil || !strings.Contains(err.Error(), "incomplete") {
+	if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, nil, part); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("incomplete trace: err = %v, want incomplete error", err)
 	}
 
-	// Nil trace.
-	if _, err := SimulateFaultsTrace(context.Background(), c, list, vecs, 1, BridgeG, nil, nil); err == nil {
-		t.Fatal("nil trace must be rejected")
+	// Empty trace (a nil one asks the campaign to capture its own).
+	if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, nil, &GoodTrace{}); err == nil || !strings.Contains(err.Error(), "empty") {
+		t.Fatalf("empty trace: err = %v, want an empty-trace error", err)
 	}
 
 	// Poisoned states.
@@ -280,7 +280,7 @@ func TestTraceValidation(t *testing.T) {
 			bad.States = append(bad.States, append([]Val(nil), st...))
 		}
 		tc.mutate(bad.States)
-		if _, err := SimulateFaultsTrace(context.Background(), c, list, vecs, 1, BridgeG, nil, bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, nil, bad); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want an error mentioning %q", tc.name, err, tc.want)
 		}
 	}
@@ -299,6 +299,10 @@ func TestCampaignRejectsBadVectors(t *testing.T) {
 	narrow := append([]Vector(nil), vecs...)
 	narrow[5] = vecs[5][1:]
 	ctx := context.Background()
+	good, err := CaptureGoodTraceCtx(ctx, c, vecs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name, want string
 		vecs       []Vector
@@ -306,11 +310,10 @@ func TestCampaignRejectsBadVectors(t *testing.T) {
 		{"value above X", "value 9", high},
 		{"narrow vector", "bits", narrow},
 	} {
-		if res, err := SimulateFaultsCtx(ctx, c, list, tc.vecs, 2, BridgeG, nil); err == nil || res != nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: SimulateFaultsCtx = %v, %v; want an error mentioning %q", tc.name, res, err, tc.want)
-		}
-		if _, _, err := SimulateFaultsCapture(ctx, c, list, tc.vecs, 2, BridgeG, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: SimulateFaultsCapture err = %v, want an error mentioning %q", tc.name, err, tc.want)
+		for _, tr := range []*GoodTrace{nil, good} {
+			if res, got, err := SimulateFaults(ctx, c, list, tc.vecs, 2, BridgeG, nil, tr); err == nil || res != nil || got != nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s (traced %v): SimulateFaults = %v, %v, %v; want an error mentioning %q", tc.name, tr != nil, res, got, err, tc.want)
+			}
 		}
 		if _, err := CaptureGoodTraceCtx(ctx, c, tc.vecs, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: CaptureGoodTraceCtx err = %v, want an error mentioning %q", tc.name, err, tc.want)
@@ -327,12 +330,12 @@ func TestGoodTraceMetrics(t *testing.T) {
 	vecs := randomVectors(len(nl.PIs), 16, 4)
 	reg := obs.NewRegistry()
 
-	_, tr, err := SimulateFaultsCapture(context.Background(), c, list, vecs, 1, BridgeG, reg)
+	_, tr, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := SimulateFaultsTrace(context.Background(), c, list, vecs, 1, BridgeG, reg, tr); err != nil {
+		if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, reg, tr); err != nil {
 			t.Fatal(err)
 		}
 	}

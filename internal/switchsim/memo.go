@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"defectsim/internal/cell"
@@ -99,21 +100,9 @@ func pow3(k int) int {
 	return n
 }
 
-// table returns the memo table serving CCC id on m, or nil when the solve
-// must relax: no memo, a CCC hosting part of the installed fault (planFault
-// puts every removed device, forced net and bridge attachment into a seed
-// CCC, so every other CCC is plan-free), or a CCC over the width limit.
-func (m *Machine) table(id int) *memoCCC {
-	if m.memo == nil || (m.plan != nil && m.plan.isSeed(id)) {
-		return nil
-	}
-	if t := &m.memo.cccs[id]; t.in != nil {
-		return t
-	}
-	return nil
-}
-
-// solveTable is solveCCC for a plan-free CCC: it replays the memo entry
+// solveTable is solveCCC for a plan-free CCC (one hosting no part of the
+// installed fault: planFault puts every removed device, forced net and
+// bridge attachment into a seed CCC): it replays the memo entry
 // for the current values of the key nets, filling it by the relaxation on
 // first use. Changed nets come back in CCC net order, exactly as the
 // relaxation appends them.
@@ -144,6 +133,156 @@ func (m *Machine) solveTable(t *memoCCC, id int, changed []int) []int {
 		net := int(own[i])
 		m.val[net] = Val(e>>(2*i)) & 3
 		changed = append(changed, net)
+	}
+	return changed
+}
+
+// seedMemoCap is the capacity of a fault's seed-group table. A fault
+// re-solves few distinct seed states: on the c432-class campaign 78% of
+// seed solves hit a 16-entry table, 82% a 32-entry one.
+const seedMemoCap = 16
+
+// Seed keys and results. A key packs 2 bits per key net into its low
+// seedKeyBits bits and the seed's index in the plan's seedCCCs above them;
+// a result flags the own nets the solve changes in bits 32.. and holds
+// their new values in bits 2i..2i+1. Groups with wider keys, more own nets
+// or more seeds relax every time.
+const (
+	seedKeyBits     = 58
+	seedMaxOwn      = 16
+	seedChangeShift = 32
+)
+
+// seedMemo is one fault's table of seed-group relaxations: the CCCs
+// hosting the fault relax on every solve, but a fault revisits few of
+// their input states, so each relaxation is stored under its full key
+// and replayed when the key recurs. A fault's plan and the campaign's
+// bridge conductance are fixed, so a seed group's relaxation is a pure
+// function of the start CCC and the values of the nets it reads. The
+// table is private to the fault and cleared when full, so which solves
+// hit depends only on that fault's own history — never on scheduling.
+type seedMemo struct {
+	n    int
+	keys [seedMemoCap]uint64
+	res  [seedMemoCap]uint64
+}
+
+// solveSeed is solveCCC for seed CCC id (entry si of the plan's seedCCCs)
+// on a machine carrying the fault's seed memo.
+func (m *Machine) solveSeed(si, id int, changed []int) []int {
+	group := m.seedGroup(id)
+	key, ok := m.seedKey(group)
+	if !ok || si >= 1<<(64-seedKeyBits) {
+		m.relaxSolves++
+		return m.relaxCCC(id, changed)
+	}
+	key |= uint64(si) << seedKeyBits
+	sm := m.seeds
+	for i, k := range sm.keys[:sm.n] {
+		if k == key {
+			m.seedSolves++
+			return m.replaySeed(group, sm.res[i], changed)
+		}
+	}
+	m.relaxSolves++
+	changed = m.relaxCCC(id, changed)
+	if sm.n == seedMemoCap {
+		sm.n = 0
+	}
+	sm.keys[sm.n], sm.res[sm.n] = key, m.seedResult(group, key)
+	sm.n++
+	return changed
+}
+
+// seedGroup lists the CCCs relaxCCC solves together when it starts at id
+// — id, then the CCCs the plan's bridges reach, transitively — in the
+// relaxation's discovery order.
+func (m *Machine) seedGroup(id int) []int {
+	g := append(m.scr.seeds[:0], id)
+	for i := 0; i < len(g); i++ {
+		for _, br := range m.plan.extraFor(g[i]) {
+			for _, n := range br {
+				if oc := m.cccOfNet(n); oc >= 0 && !slices.Contains(g, oc) {
+					g = append(g, oc)
+				}
+			}
+		}
+	}
+	m.scr.seeds = g
+	return g
+}
+
+// seedKey packs the values of every net the relaxation of group reads:
+// each group CCC's memo key nets (its own nets, then its device gates and
+// non-rail external sources — devices the plan removes only add unread
+// nets), then the bridge endpoints outside any CCC. Rails are constant and
+// left out, as in the shared table. ok is false when the group does not
+// fit a key or a result.
+func (m *Machine) seedKey(group []int) (key uint64, ok bool) {
+	shift, own := 0, 0
+	for _, g := range group {
+		t := &m.memo.cccs[g]
+		if t.in == nil || shift+2*len(t.in) > seedKeyBits {
+			return 0, false
+		}
+		for _, n := range t.in {
+			key |= uint64(m.val[n]) << shift
+			shift += 2
+		}
+		own += t.own
+	}
+	if own > seedMaxOwn {
+		return 0, false
+	}
+	for _, g := range group {
+		for _, br := range m.plan.extraFor(g) {
+			for _, n := range br {
+				if m.cccOfNet(n) >= 0 || n == layout.NetGND || n == layout.NetVDD {
+					continue
+				}
+				if shift+2 > seedKeyBits {
+					return 0, false
+				}
+				key |= uint64(m.val[n]) << shift
+				shift += 2
+			}
+		}
+	}
+	return key, true
+}
+
+// seedResult encodes the relaxation that just ran from the state key
+// describes: the group's own nets in relaxation order, flagged where their
+// value now differs from the key's.
+func (m *Machine) seedResult(group []int, key uint64) uint64 {
+	var res uint64
+	pos, shift := 0, 0
+	for _, g := range group {
+		t := &m.memo.cccs[g]
+		for i, n := range t.in[:t.own] {
+			if nv := m.val[n]; uint64(nv) != key>>(shift+2*i)&3 {
+				res |= 1<<(seedChangeShift+pos) | uint64(nv)<<(2*pos)
+			}
+			pos++
+		}
+		shift += 2 * len(t.in)
+	}
+	return res
+}
+
+// replaySeed applies a stored seed result, appending the changed nets in
+// the order relaxCCC appends them: group CCC order, then CCC net order.
+func (m *Machine) replaySeed(group []int, res uint64, changed []int) []int {
+	pos := 0
+	for _, g := range group {
+		t := &m.memo.cccs[g]
+		for _, n := range t.in[:t.own] {
+			if res>>(seedChangeShift+pos)&1 != 0 {
+				m.val[n] = Val(res>>(2*pos)) & 3
+				changed = append(changed, int(n))
+			}
+			pos++
+		}
 	}
 	return changed
 }

@@ -22,12 +22,14 @@
 // list, the four conductance fields, the changed-net buffer) lives in a
 // per-Machine arena that is grown once and reused across solves, and fault
 // configurations are immutable faultPlans installable on any machine of the
-// same circuit in O(1) — which is what lets the campaign loop share one
-// pooled machine per worker across thousands of faults. Inside a fault
-// campaign most solves skip the relaxation altogether: a CCC the installed
-// fault leaves alone is a pure function of at most eight 0/1/X nets, so
-// the campaign's CCC memo (memo.go) relaxes each such state once and
-// replays it from a table, bitwise identical to the relaxation.
+// same circuit in O(1) — which is what lets the campaign loop run every
+// fault on one machine per worker, a fault owning nothing but its node
+// values. Inside a fault campaign most solves skip the relaxation
+// altogether: a CCC the installed fault leaves alone is a pure function of
+// at most eight 0/1/X nets, so the campaign's CCC memo (memo.go) relaxes
+// each such state once and replays it from a table, and each fault keeps a
+// small table of its own seed-group relaxations — both bitwise identical
+// to the relaxation.
 package switchsim
 
 import (
@@ -123,10 +125,9 @@ type extraBridges struct {
 // circuit in O(1). Plans are immutable after planFault returns and may be
 // shared by any number of machines (and goroutines) concurrently.
 type faultPlan struct {
-	removedDev map[int]bool // device indices forced off (stuck-open)
-	bridges    [][2]int     // extra always-on edges of conductance bridgeG
-	deadPI     []int        // PI nets severed from their pads
-	forced     []forcedNet  // nets pinned to a level (severed trunks)
+	removedDev []int32     // device indices forced off (stuck-open), ascending
+	deadPI     []int       // PI nets severed from their pads
+	forced     []forcedNet // nets pinned to a level (severed trunks)
 
 	// extraOf lists bridges per attachment key: a CCC id (merged partners
 	// are solved together), or -1-net for bridges touching nets outside
@@ -163,12 +164,25 @@ func (p *faultPlan) isForced(net int) bool {
 	return false
 }
 
-// isSeed reports whether CCC id hosts part of the fault (a handful of
-// entries at most, so a scan beats any map).
-func (p *faultPlan) isSeed(id int) bool {
-	for _, s := range p.seedCCCs {
+// seedIndex returns the position of CCC id in seedCCCs, or -1 when id
+// hosts no part of the fault (a handful of entries at most, so a scan
+// beats any map).
+func (p *faultPlan) seedIndex(id int) int {
+	for i, s := range p.seedCCCs {
 		if s == id {
-			return true
+			return i
+		}
+	}
+	return -1
+}
+
+// isRemoved reports whether device di is forced off. removedDev is short
+// (the devices of one pin or one net) and sorted, so the scan stops at the
+// first larger index.
+func (p *faultPlan) isRemoved(di int) bool {
+	for _, r := range p.removedDev {
+		if int(r) >= di {
+			return int(r) == di
 		}
 	}
 	return false
@@ -197,6 +211,7 @@ type solveScratch struct {
 	d0, d1   []float64
 	m0, m1   []float64
 	changed  []int // settle's reusable changed-net buffer
+	seeds    []int // solveSeed's group worklist
 	// touched accumulates every net an Apply/ApplyFromGood call may have
 	// left different from its starting state (seeded, pinned, or changed
 	// by a solve; duplicates allowed). The campaign's clean check compares
@@ -204,10 +219,11 @@ type solveScratch struct {
 	touched []int
 }
 
-// Machine is one simulated circuit instance (good or faulty) with its own
-// persistent node state. Faulty machines share the circuit structure and
-// carry an installed fault plan; install is O(1), so one machine can be
-// reused across many faults (the campaign loop's per-worker pool).
+// Machine is one simulated circuit instance (good or faulty). Faulty
+// machines share the circuit structure and carry an installed fault plan;
+// install is O(1) and val is a plain slice the campaign swaps per fault, so
+// one machine steps many faults (the campaign loop's per-worker machine),
+// each fault owning only its node values.
 type Machine struct {
 	c   *transistor.Circuit
 	val []Val
@@ -230,11 +246,13 @@ type Machine struct {
 	// accumulate every changed net of a budget-length settle for nothing.
 	track bool
 
-	// memo is the campaign's shared CCC table (nil on plain machines, which
-	// always relax). tableSolves and relaxSolves count the solves each path
-	// took; the campaign loop drains them into swsim_ccc_solves.
-	memo                     *cccMemo
-	tableSolves, relaxSolves int64
+	// memo is the campaign's shared CCC table and seeds the installed
+	// fault's seed-group table (both nil on plain machines, which always
+	// relax). tableSolves, seedSolves and relaxSolves count the solves each
+	// path took; the campaign loop drains them into swsim_ccc_solves.
+	memo                                 *cccMemo
+	seeds                                *seedMemo
+	tableSolves, seedSolves, relaxSolves int64
 
 	scr solveScratch
 }
@@ -253,13 +271,15 @@ func NewMachine(c *transistor.Circuit) *Machine {
 // Val returns the current value of net n.
 func (m *Machine) Val(n int) Val { return m.val[n] }
 
-// install points the machine at a fault plan. The machine's node state is
-// untouched: callers either start from the all-X reset state (a fresh
-// machine) or immediately overwrite the state via ApplyFromGood (the pooled
-// fast path, whose full-state copy makes the result independent of whatever
-// fault the machine hosted before).
-func (m *Machine) install(p *faultPlan, bridgeG float64) {
+// install points the machine at a fault plan and that fault's seed memo
+// (nil: seed solves relax). The machine's node state is untouched: callers
+// either start from the all-X reset state (a fresh machine), swap in the
+// fault's own values, or overwrite the state via ApplyFromGood (the clean
+// fast path, whose full-state copy makes the result independent of
+// whatever fault the machine hosted before).
+func (m *Machine) install(p *faultPlan, bridgeG float64, seeds *seedMemo) {
 	m.plan = p
+	m.seeds = seeds
 	if bridgeG > 0 {
 		m.bridgeG = bridgeG
 	} else {
@@ -288,13 +308,24 @@ func (p *faultPlan) extraFor(key int) [][2]int {
 
 // solveCCC evaluates the CCC group containing id (plus bridge-merged
 // partners) against the machine's current values and appends the nets whose
-// value changed to changed (a scratch buffer owned by settle). A plan-free
-// CCC on a machine carrying a campaign memo is served from its table; every
-// other solve runs the relaxation.
+// value changed to changed (a scratch buffer owned by settle). On a machine
+// carrying a campaign memo, a plan-free CCC is served from the shared table
+// and a seed CCC from the installed fault's seed memo; every other solve
+// runs the relaxation.
 func (m *Machine) solveCCC(id int, changed []int) []int {
-	if t := m.table(id); t != nil {
-		m.tableSolves++
-		return m.solveTable(t, id, changed)
+	if m.memo != nil {
+		si := -1
+		if m.plan != nil {
+			si = m.plan.seedIndex(id)
+		}
+		if si < 0 {
+			if t := &m.memo.cccs[id]; t.in != nil {
+				m.tableSolves++
+				return m.solveTable(t, id, changed)
+			}
+		} else if m.seeds != nil {
+			return m.solveSeed(si, id, changed)
+		}
 	}
 	m.relaxSolves++
 	return m.relaxCCC(id, changed)
@@ -342,7 +373,7 @@ func (m *Machine) relaxCCC(id int, changed []int) []int {
 	edges := s.edges[:0]
 	for _, g := range groupIDs {
 		for _, di := range c.DevsOf[g] {
-			if m.plan != nil && m.plan.removedDev[di] {
+			if m.plan != nil && m.plan.isRemoved(di) {
 				continue
 			}
 			d := &c.Devices[di]
@@ -532,6 +563,13 @@ func (m *Machine) cccOfNet(n int) int {
 // a fixpoint (bounded). It returns false if the bound was hit (an
 // oscillation, possible only with feedback-creating bridges).
 func (m *Machine) Apply(vec Vector) bool {
+	m.schedule(vec)
+	return m.settle()
+}
+
+// schedule is Apply up to the settle: it drives the primary inputs and
+// queues every CCC the vector may change.
+func (m *Machine) schedule(vec Vector) {
 	if len(vec) != len(m.c.PIs) {
 		panic(fmt.Sprintf("switchsim: vector has %d bits, circuit has %d PIs", len(vec), len(m.c.PIs)))
 	}
@@ -560,7 +598,6 @@ func (m *Machine) Apply(vec Vector) bool {
 			m.push(id)
 		}
 	}
-	return m.settle()
 }
 
 // applyForced pins forced nets (severed trunks) to their stuck level.
@@ -588,21 +625,32 @@ func (m *Machine) applyForced() {
 // goodPrev first so that charge retention (floating nodes keeping their
 // previous value) is computed against the correct history.
 //
+// Known deviation (DESIGN §5): a seed net whose solve leaves it at its
+// goodPrev value, where goodPost differs, changes nothing and pushes no
+// event, so its readers keep the values the good machine computed from
+// goodPost. Fixing it moves Θ and needs a re-recorded golden table.
+//
 // Because the full state is copied in, the outcome is independent of
-// whatever the machine held before — which is what makes pooled machines
-// (one per worker, reinstalled per fault) bitwise-identical to dedicated
-// per-fault machines.
+// whatever the machine held before — which is what makes the campaign's
+// per-worker machine bitwise-identical to dedicated per-fault machines.
 func (m *Machine) ApplyFromGood(goodPost, goodPrev []Val) bool {
 	return m.applyFromGood(goodPost, goodPrev, false)
 }
 
 // applyFromGood is ApplyFromGood with the copy made skippable: with
 // stateIsGood set, the caller asserts m.val already equals goodPost
-// elementwise (the campaign loop tracks this for its pooled machines — a
-// machine whose previous fault stayed clean holds exactly the good state),
+// elementwise (the campaign loop tracks this for each worker's home vector
+// — after a clean fault stays clean it holds exactly the good state),
 // so the O(NumNets) copy is elided and the apply touches only fault-local
 // nets. The outcome is identical either way.
 func (m *Machine) applyFromGood(goodPost, goodPrev []Val, stateIsGood bool) bool {
+	m.scheduleFromGood(goodPost, goodPrev, stateIsGood)
+	return m.settle()
+}
+
+// scheduleFromGood is applyFromGood up to the settle: it loads the good
+// state and queues the fault hardware's CCCs.
+func (m *Machine) scheduleFromGood(goodPost, goodPrev []Val, stateIsGood bool) {
 	if len(goodPost) != len(m.val) || len(goodPrev) != len(m.val) {
 		// A good state sized for a different circuit would otherwise be
 		// silently truncated by copy below; fail loudly instead. (Public
@@ -636,7 +684,6 @@ func (m *Machine) applyFromGood(goodPost, goodPrev []Val, stateIsGood bool) bool
 			m.push(id)
 		}
 	}
-	return m.settle()
 }
 
 // cleanAgainst reports whether the machine's state equals good. It is
