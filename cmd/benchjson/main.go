@@ -10,7 +10,8 @@
 //
 // Conversion reads benchmark lines ("BenchmarkName-8  100  123 ns/op ...")
 // from stdin, strips the GOMAXPROCS suffix, and writes one entry per
-// benchmark together with the run's environment header (goos/goarch/cpu).
+// benchmark together with the run's environment header (goos/goarch/cpu,
+// and gomaxprocs from the first benchmark line's suffix).
 //
 // Compare exits non-zero when a benchmark present in both documents got
 // worse than baseline × tolerance on any gated metric. Wall time is gated
@@ -30,6 +31,8 @@
 //
 // Delta prints a GitHub-flavored markdown table of ns/bytes/allocs
 // changes between two documents — for CI job summaries, never a gate.
+// Compare and delta both print each side's gomaxprocs (a document
+// recorded without it reads "unknown"); it never gates.
 package main
 
 import (
@@ -59,12 +62,13 @@ type Doc struct {
 	GOOS       string  `json:"goos,omitempty"`
 	GOARCH     string  `json:"goarch,omitempty"`
 	CPU        string  `json:"cpu,omitempty"`
+	GOMAXPROCS int     `json:"gomaxprocs,omitempty"` // go test's -N name suffix (none: 1); 0 is unknown
 	Benchmarks []Entry `json:"benchmarks"`
 }
 
 // benchLine matches one `go test -bench` result line. The -N GOMAXPROCS
 // suffix is split off so baselines compare across machines.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
 func parse(r io.Reader) (*Doc, error) {
 	doc := &Doc{}
@@ -84,11 +88,17 @@ func parse(r io.Reader) (*Doc, error) {
 		if m == nil {
 			continue
 		}
+		if doc.GOMAXPROCS == 0 {
+			doc.GOMAXPROCS = 1
+			if m[2] != "" {
+				doc.GOMAXPROCS, _ = strconv.Atoi(m[2])
+			}
+		}
 		e := Entry{Name: m[1]}
-		e.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-		e.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
+		e.Iterations, _ = strconv.ParseInt(m[3], 10, 64)
+		e.NsPerOp, _ = strconv.ParseFloat(m[4], 64)
 		// Optional -benchmem tail: "  N B/op  M allocs/op".
-		tail := strings.Fields(m[4])
+		tail := strings.Fields(m[5])
 		for i := 0; i+1 < len(tail); i++ {
 			switch tail[i+1] {
 			case "B/op":
@@ -140,6 +150,15 @@ func (o overrides) Set(s string) error {
 	return nil
 }
 
+// procs renders a document's GOMAXPROCS for the compare and delta
+// headers.
+func procs(d *Doc) string {
+	if d.GOMAXPROCS == 0 {
+		return "unknown"
+	}
+	return strconv.Itoa(d.GOMAXPROCS)
+}
+
 // limits holds the gate limits for one benchmark after overrides.
 type limits struct {
 	ns, alloc float64
@@ -153,6 +172,7 @@ func compare(w io.Writer, base, cur *Doc, tolerance, allocTolerance float64, ov 
 	for _, e := range base.Benchmarks {
 		baseBy[e.Name] = e
 	}
+	fmt.Fprintf(w, "gomaxprocs: baseline %s, current %s\n", procs(base), procs(cur))
 	var failed []string
 	seen := map[string]bool{}
 	for _, e := range cur.Benchmarks {
@@ -204,6 +224,7 @@ func delta(w io.Writer, prev, cur *Doc) {
 		}
 		return fmt.Sprintf("%.0f %s (%+.1f%%)", cur, unit, 100*(cur/prev-1))
 	}
+	fmt.Fprintf(w, "gomaxprocs: previous %s, current %s\n\n", procs(prev), procs(cur))
 	fmt.Fprintln(w, "| benchmark | ns/op | B/op | allocs/op |")
 	fmt.Fprintln(w, "|---|---|---|---|")
 	for _, e := range cur.Benchmarks {

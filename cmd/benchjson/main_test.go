@@ -43,6 +43,42 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseGOMAXPROCS: the stripped -N suffix lands in the header (no
+// suffix means 1), and compare and delta print both sides' value, with
+// a document recorded without it reading "unknown".
+func TestParseGOMAXPROCS(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int
+	}{
+		{"BenchmarkA-2\t10\t5 ns/op\nBenchmarkB-2\t10\t5 ns/op\n", 2},
+		{"BenchmarkA\t10\t5 ns/op\n", 1},
+		{"PASS\n", 0},
+	} {
+		doc, err := parse(strings.NewReader(tc.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.GOMAXPROCS != tc.want {
+			t.Fatalf("parse(%q).GOMAXPROCS = %d, want %d", tc.in, doc.GOMAXPROCS, tc.want)
+		}
+	}
+	base := &Doc{Benchmarks: []Entry{{Name: "BenchmarkA", NsPerOp: 100}}}
+	cur := &Doc{GOMAXPROCS: 4, Benchmarks: []Entry{{Name: "BenchmarkA", NsPerOp: 100}}}
+	var out strings.Builder
+	if failed := compare(&out, base, cur, 1.5, 1.1, nil); len(failed) != 0 {
+		t.Fatalf("gomaxprocs gated: %v", failed)
+	}
+	if !strings.Contains(out.String(), "gomaxprocs: baseline unknown, current 4") {
+		t.Fatalf("compare header missing gomaxprocs:\n%s", out.String())
+	}
+	out.Reset()
+	delta(&out, cur, base)
+	if !strings.Contains(out.String(), "gomaxprocs: previous 4, current unknown") {
+		t.Fatalf("delta header missing gomaxprocs:\n%s", out.String())
+	}
+}
+
 func TestCompareGate(t *testing.T) {
 	base := &Doc{Benchmarks: []Entry{
 		{Name: "BenchmarkA", NsPerOp: 100},

@@ -10,7 +10,7 @@
 //	POST /v1/pipeline              submit an async pipeline job (202; 429 when shed)
 //	POST /v1/pipeline:batch        submit many jobs in one round trip (per-item statuses)
 //	GET  /v1/store/{key}           fetch a result envelope (peer-facing store API; HEAD for existence)
-//	PUT  /v1/store/{key}           accept a verified result envelope (idempotent)
+//	PUT  /v1/store/{key}           accept a verified result envelope (idempotent; heals a corrupt copy)
 //	GET  /v1/pipeline/{id}         job status
 //	GET  /v1/pipeline/{id}/result  job result (202 while pending)
 //	GET  /v1/pipeline/{id}/events  live job events (SSE; ?poll=1 for long-poll)
@@ -33,9 +33,10 @@
 // owns is forwarded there (request ID propagated) and the result adopted
 // through the owner's /v1/store API. With -rf N > 1 each result lives on
 // the N distinct ring owners: a locally computed result fans out to the
-// other owners (failures spool as hinted handoff, replayed when the peer
-// recovers), and when the primary owner is dead the replica set is
-// walked — fetching the already-replicated envelope beats re-simulating.
+// other owners (a failed copy is dropped; the owner converges through
+// read-repair on its first read of the key), and when the primary owner
+// is dead the replica set is walked — fetching the already-replicated
+// envelope beats re-simulating.
 // -peers-file makes membership dynamic: rewrite the file and send SIGHUP
 // (or POST /v1/cluster/reload from loopback) to swap the ring without a
 // restart. -store-remote layers a shared remote result store over the
@@ -155,8 +156,7 @@ func run() int {
 		nodeName     = flag.String("node", "", "this node's name on the cluster ring (required with -peers / -peers-file)")
 		peers        = flag.String("peers", "", "static peer list name=url,... (e.g. node-b=http://10.0.0.2:8447); empty = single-node")
 		peersFile    = flag.String("peers-file", "", "peers file (one name=url per line, # comments); reloaded on SIGHUP or POST /v1/cluster/reload")
-		rf           = flag.Int("rf", 1, "replication factor: each result lives on this many ring owners (requires -cache-dir and peers when > 1)")
-		spoolDir     = flag.String("spool-dir", "", "hinted-handoff spool directory (default: <cache-dir>-spool; only used with -rf > 1)")
+		rf           = flag.Int("rf", 1, "replication factor: each result lives on this many ring owners; a failed copy is dropped and read-repaired (requires -cache-dir and peers when > 1)")
 		storeRemote  = flag.String("store-remote", "", "base URL of a shared remote result store: the only store, or with -cache-dir a best-effort copy behind local-first reads (empty = local only)")
 	)
 	flag.Parse()
@@ -194,9 +194,9 @@ func run() int {
 
 	// Result store: -cache-dir alone is resolved inside the serving layer
 	// (FS store). A -store-remote layers a shared remote store over it —
-	// the local store replicated to one remote owner with no hint spool,
-	// so a failed copy is dropped and counted in store_replicate_total —
-	// or serves as the only backend when no cache dir is configured.
+	// the local store replicated to one remote owner, so a failed copy is
+	// dropped and counted in store_replicate_total — or serves as the only
+	// backend when no cache dir is configured.
 	var st store.Store
 	if *storeRemote != "" {
 		sm := store.NewMetrics(tr.Metrics())
@@ -212,7 +212,7 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "dlprojd:", err)
 				return 1
 			}
-			if st, err = store.NewReplicated(local, store.OneRemote(remote), nil, sm); err != nil {
+			if st, err = store.NewReplicated(local, store.OneRemote(remote), sm); err != nil {
 				fmt.Fprintln(os.Stderr, "dlprojd:", err)
 				return 1
 			}
@@ -282,11 +282,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "dlprojd: -rf > 1 requires -cache-dir (replication stores result envelopes)")
 		return 2
 	}
-	if *rf > 1 && *spoolDir == "" {
-		// Default beside — never inside — the cache dir: spool records are
-		// hints, not result envelopes.
-		*spoolDir = strings.TrimRight(*cacheDir, "/") + "-spool"
-	}
 
 	srv := serve.New(serve.Config{
 		QueueDepth:      *queueDepth,
@@ -301,7 +296,6 @@ func run() int {
 		Store:           st,
 		Cluster:         cl,
 		Membership:      membership,
-		SpoolDir:        *spoolDir,
 		MaxJobs:         *maxJobs,
 		Obs:             tr,
 		Logger:          logger,

@@ -216,9 +216,6 @@ type Cluster struct {
 	reloadMu  sync.Mutex
 	reloading atomic.Bool
 	epoch     atomic.Int64
-
-	cbMu      sync.Mutex
-	onRecover func(peer string)
 }
 
 // New builds the cluster view for node self with the given remote peers.
@@ -301,25 +298,9 @@ func (c *Cluster) buildView(old *view, specs []PeerSpec) (*view, []string, []str
 	return &view{ring: ring, peers: peers}, joined, left, nil
 }
 
-// newPeer builds the client (and breaker) for one remote node. The
-// breaker's close transition pokes the recovery callback so hinted
-// handoff replays as soon as the peer is reachable again; the callback
-// may run while the breaker's lock is held, so registered functions must
-// not block.
+// newPeer builds the client (and breaker) for one remote node.
 func (c *Cluster) newPeer(sp PeerSpec) (*Peer, error) {
 	br := store.NewBreaker(sp.Name, c.opts.BreakerThreshold, c.opts.BreakerCooldown, c.m.breakerGauge(sp.Name))
-	name := sp.Name
-	br.OnChange(func(_, to store.BreakerState) {
-		if to != store.BreakerClosed {
-			return
-		}
-		c.cbMu.Lock()
-		fn := c.onRecover
-		c.cbMu.Unlock()
-		if fn != nil {
-			fn(name)
-		}
-	})
 	return newPeer(sp.Name, sp.URL, store.HTTPOptions{
 		Client:            c.opts.Client,
 		MaxAttempts:       c.opts.MaxAttempts,
@@ -361,16 +342,6 @@ func (c *Cluster) Reload(specs []PeerSpec) (joined, left []string, err error) {
 		c.m.Epoch.Set(float64(c.epoch.Add(1)))
 	}
 	return joined, left, nil
-}
-
-// SetOnPeerRecovered registers fn to run whenever any peer's breaker
-// transitions to closed — the serve layer's cue to replay hinted
-// handoff. fn may be invoked with the breaker's internal lock held and
-// must not block; a buffered-channel poke is the intended shape.
-func (c *Cluster) SetOnPeerRecovered(fn func(peer string)) {
-	c.cbMu.Lock()
-	c.onRecover = fn
-	c.cbMu.Unlock()
 }
 
 // Self returns this node's name.

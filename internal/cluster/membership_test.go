@@ -388,52 +388,3 @@ func TestMembershipReloadFromFile(t *testing.T) {
 		t.Fatalf("cluster_membership_reloads_total{error} = %d, want 2", errs)
 	}
 }
-
-// TestClusterOnPeerRecovered pins the hinted-handoff wake contract: the
-// registered callback fires (with the peer's name) when a breaker
-// transitions to closed, and must be callable from under the breaker's
-// own lock — the test's channel send is non-blocking, mirroring the
-// serve layer's poke.
-func TestClusterOnPeerRecovered(t *testing.T) {
-	node := newFakeNode()
-	ts := httptest.NewServer(node.handler())
-	defer ts.Close()
-	c := testCluster(t, ts.URL)
-	recovered := make(chan string, 4)
-	c.SetOnPeerRecovered(func(peer string) {
-		select {
-		case recovered <- peer:
-		default:
-		}
-	})
-	p := c.Peer("node-b")
-	ctx := context.Background()
-
-	restore := faultinject.Set(faultinject.HookNetRequest, faultinject.Fail(errors.New("injected: down")))
-	for i := 0; i < 2; i++ {
-		_, _ = p.Submit(ctx, []byte(`{}`), "")
-	}
-	restore()
-	if st := p.Breaker().State(); st != store.BreakerOpen {
-		t.Fatalf("breaker = %v, want open", st)
-	}
-	select {
-	case peer := <-recovered:
-		t.Fatalf("recovery callback fired while peer down: %q", peer)
-	default:
-	}
-
-	// Cooldown, then a successful probe closes the breaker → callback.
-	time.Sleep(60 * time.Millisecond)
-	if _, err := p.Submit(ctx, []byte(`{}`), ""); err != nil {
-		t.Fatalf("probe submit: %v", err)
-	}
-	select {
-	case peer := <-recovered:
-		if peer != "node-b" {
-			t.Fatalf("recovered peer = %q, want node-b", peer)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("recovery callback never fired")
-	}
-}

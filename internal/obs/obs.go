@@ -11,7 +11,7 @@
 package obs
 
 import (
-	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 )
@@ -25,6 +25,10 @@ type Tracer struct {
 	spans   []*Span  // top-level spans in start order
 	cur     *Span    // innermost un-ended span, or nil
 	hook    SpanHook // optional live span observer, called outside the lock
+
+	// allocs is the reusable sample of /gc/heap/allocs:bytes; guarded by
+	// mu.
+	allocs [1]metrics.Sample
 }
 
 // SpanHook observes span lifecycle transitions live: it is called with
@@ -49,7 +53,9 @@ func (t *Tracer) SetSpanHook(h SpanHook) {
 
 // New returns a recording tracer with a fresh metrics registry.
 func New() *Tracer {
-	return &Tracer{reg: NewRegistry(), started: time.Now()}
+	t := &Tracer{reg: NewRegistry(), started: time.Now()}
+	t.allocs[0].Name = "/gc/heap/allocs:bytes"
+	return t
 }
 
 // Metrics returns the tracer's registry (nil for a nil tracer, which makes
@@ -71,8 +77,9 @@ type Span struct {
 	Start    time.Time
 	Duration time.Duration
 	// AllocBytes is the heap allocated between StartSpan and End across
-	// all goroutines (runtime.MemStats.TotalAlloc delta). Children's
-	// allocations are included; Report subtracts them for "self" figures.
+	// all goroutines (the /gc/heap/allocs:bytes delta, the counter behind
+	// runtime.MemStats.TotalAlloc). Children's allocations are included;
+	// Report subtracts them for "self" figures.
 	AllocBytes uint64
 	Children   []*Span
 
@@ -94,15 +101,19 @@ func (t *Tracer) StartSpan(name string) *Span {
 		t.cur.Children = append(t.cur.Children, s)
 	}
 	t.cur = s
+	// runtime/metrics reads the allocation counter without stopping the
+	// world (runtime.ReadMemStats would stall every goroutine and charge
+	// the stall to the parent span); the shared sample needs the lock.
+	// The clock starts after the read, so the span does not charge itself
+	// for it, and under the lock, so a concurrent Report or End never
+	// reads a half-initialized span.
+	s.alloc0 = t.totalAlloc()
+	s.Start = time.Now()
 	hook := t.hook
 	t.mu.Unlock()
 	if hook != nil {
 		hook(name, true)
 	}
-	// Read memstats outside the lock, start the clock last so the span
-	// does not charge itself for the (stop-the-world) memstats read.
-	s.alloc0 = totalAlloc()
-	s.Start = time.Now()
 	return s
 }
 
@@ -114,13 +125,13 @@ func (s *Span) End() {
 		return
 	}
 	now := time.Now()
-	alloc := totalAlloc()
 	t := s.tracer
 	t.mu.Lock()
 	if s.ended {
 		t.mu.Unlock()
 		return
 	}
+	alloc := t.totalAlloc()
 	// Implicitly end open descendants (leaked spans) first.
 	for c := t.cur; c != nil && c != s; c = c.parent {
 		if !c.ended {
@@ -150,8 +161,9 @@ func (s *Span) End() {
 	}
 }
 
-func totalAlloc() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.TotalAlloc
+// totalAlloc returns the cumulative bytes allocated on the heap by the
+// whole process. Caller holds t.mu.
+func (t *Tracer) totalAlloc() uint64 {
+	metrics.Read(t.allocs[:])
+	return t.allocs[0].Value.Uint64()
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSpanNestingAndOrdering(t *testing.T) {
@@ -107,6 +108,52 @@ func TestNoopPathZeroAllocs(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("no-op observability path allocates %v per op, want 0", n)
 	}
+}
+
+// TestTracedSpanOneAlloc pins a recording StartSpan/End pair at one
+// allocation, the Span itself: reading the allocation counter reuses the
+// tracer's sample instead of allocating one per call.
+func TestTracedSpanOneAlloc(t *testing.T) {
+	tr := New()
+	root := tr.StartSpan("root")
+	defer root.End()
+	n := testing.AllocsPerRun(1000, func() {
+		tr.StartSpan("stage").End()
+	})
+	if n != 1 {
+		t.Fatalf("traced StartSpan/End allocates %v per pair, want 1", n)
+	}
+}
+
+// TestTracerConcurrentSpansAndReport opens and closes spans on several
+// goroutines while another snapshots the tracer: every field a Report or
+// an implicit End reads is written under the tracer lock, so -race stays
+// quiet and no open span reports a duration measured from the zero time.
+func TestTracerConcurrentSpansAndReport(t *testing.T) {
+	tr := New()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				tr.StartSpan("stage").End()
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			for _, st := range tr.Report("c").Stages {
+				if st.DurationNS < 0 || st.DurationNS > int64(time.Hour) {
+					t.Errorf("span %q reports %d ns", st.Name, st.DurationNS)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 func TestCounterConcurrent(t *testing.T) {

@@ -143,7 +143,7 @@ func (t *Tracer) Report(circuit string) *Report {
 	t.mu.Lock()
 	r := &Report{Circuit: circuit}
 	now := time.Now()
-	alloc := totalAlloc()
+	alloc := t.totalAlloc()
 	var walk func(s *Span) *StageReport
 	walk = func(s *Span) *StageReport {
 		sr := &StageReport{Name: s.Name, DurationNS: int64(s.Duration), AllocBytes: s.AllocBytes}

@@ -60,13 +60,11 @@ func fleetOptions() cluster.Options {
 // URL), so each httptest server starts on a late-bound handler installed
 // once its Server is built.
 func newFleet(t *testing.T, n int) []*fleetNode {
-	return newFleetRF(t, n, 1, 0)
+	return newFleetRF(t, n, 1)
 }
 
-// newFleetRF is newFleet with a replication factor and (for rf > 1) a
-// hinted-handoff spool per node; hintReplay tunes the background replay
-// ticker (0 keeps the production default).
-func newFleetRF(t *testing.T, n, rf int, hintReplay time.Duration) []*fleetNode {
+// newFleetRF is newFleet with a replication factor.
+func newFleetRF(t *testing.T, n, rf int) []*fleetNode {
 	t.Helper()
 	nodes := make([]*fleetNode, n)
 	handlers := make([]atomic.Value, n) // of http.Handler
@@ -96,18 +94,13 @@ func newFleetRF(t *testing.T, n, rf int, hintReplay time.Duration) []*fleetNode 
 		if err != nil {
 			t.Fatalf("cluster.New(%s): %v", nd.name, err)
 		}
-		cfg := Config{
+		nd.s = New(Config{
 			Workers:    2,
 			QueueDepth: 8,
 			CacheDir:   nd.dir,
 			Cluster:    cl,
 			Obs:        tr,
-		}
-		if rf > 1 {
-			cfg.SpoolDir = t.TempDir()
-			cfg.HintReplayInterval = hintReplay
-		}
-		nd.s = New(cfg)
+		})
 		handlers[i].Store(nd.s.Handler())
 	}
 	t.Cleanup(func() {

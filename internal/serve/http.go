@@ -397,14 +397,10 @@ type readyzBody struct {
 	// Ring reports the current membership view (absent on single-node
 	// deployments without a cluster).
 	Ring *readyzRing `json:"ring,omitempty"`
-	// HintSpoolDepth is the pending hinted-handoff backlog — a persistent
-	// non-zero value means a replica is down and this node is carrying
-	// writes for it.
-	HintSpoolDepth int `json:"hint_spool_depth"`
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	body := readyzBody{Status: "ready", HintSpoolDepth: s.SpoolDepth()}
+	body := readyzBody{Status: "ready"}
 	if c := s.cfg.Cluster; c != nil {
 		ring := c.Ring()
 		body.Ring = &readyzRing{Self: c.Self(), Nodes: ring.Len(), RF: c.RF(), Members: ring.Nodes()}
@@ -519,8 +515,10 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 
 // handleStorePut accepts a result envelope from a peer. The envelope is
 // verified (checksum) before it can touch the store, and an existing
-// entry short-circuits to success — content-addressed keys make every
-// Put idempotent, so replays and duplicate replications are free.
+// verified copy short-circuits to success — content-addressed keys make
+// every Put idempotent, so duplicate replications are free. An existing
+// copy that fails verification (torn by a crash, bit rot) is overwritten:
+// fan-out and read-repair PUTs are how a replica heals.
 func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !store.ValidKey(key) {
@@ -540,7 +538,7 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, apiError{Message: err.Error()})
 		return
 	}
-	if ok, err := s.store.Stat(r.Context(), key); err == nil && ok {
+	if old, err := s.store.Get(r.Context(), key); err == nil && store.VerifyEnvelope(old) == nil {
 		w.WriteHeader(http.StatusOK) // already present: idempotent no-op
 		return
 	}

@@ -54,13 +54,14 @@ func computedRuns(nd *fleetNode) int64 {
 //	   the secondary — rf copies exist when the job settles.
 //	B. primary killed: the same key is served from the secondary's
 //	   replica copy (replica_hit, zero new computes); a NEW key owned by
-//	   the dead node is computed by the surviving replica, which spools a
-//	   hinted handoff for the corpse.
-//	C. recovery: the breaker closes, the hint drains, and the revived
-//	   node converges to a bitwise-identical copy of the reference
-//	   envelope — every copy on every owner matches a single-node run.
+//	   the dead node is computed by the surviving replica, whose copy for
+//	   the corpse is dropped.
+//	C. recovery: the breaker closes, the NEW key is resubmitted, and the
+//	   revived primary read-repairs it from the replica instead of
+//	   recomputing — every copy on every owner is bitwise identical to a
+//	   single-node run.
 func TestClusterReplicaChaos(t *testing.T) {
-	nodes := newFleetRF(t, 3, 2, 50*time.Millisecond)
+	nodes := newFleetRF(t, 3, 2)
 	n0, victim, rep := nodes[0], nodes[1], nodes[2]
 	ring := n0.s.cfg.Cluster.Ring()
 	limits := n0.s.cfg
@@ -121,8 +122,8 @@ func TestClusterReplicaChaos(t *testing.T) {
 	}
 
 	// Still phase B: a NEW key owned by [victim, rep]. The dead primary
-	// cannot take it; the replica computes it as stand-in and spools a
-	// hinted handoff for the corpse.
+	// cannot take it; the replica computes it as stand-in and its copy
+	// for the corpse is dropped.
 	bodyB, keyB := bodyWithOwners(t, ring, limits, victim.name, rep.name, 4000)
 	_, refB := envelopeFor(t, bodyB, limits)
 	submitAndWait(bodyB)
@@ -132,27 +133,35 @@ func TestClusterReplicaChaos(t *testing.T) {
 	if got := fwd.With(rep.name, "ok").Value(); got != 1 {
 		t.Fatalf("phase B: cluster_forward_total{%s,ok} = %d, want 1", rep.name, got)
 	}
-	if depth := rep.s.SpoolDepth(); depth != 1 {
-		t.Fatalf("phase B: replica spool depth = %d, want 1 hint for the dead owner", depth)
+	repl := rep.s.Metrics().CounterVec("store_replicate_total", "peer", "outcome")
+	if got := repl.With(victim.name, "dropped").Value(); got != 1 {
+		t.Fatalf("phase B: store_replicate_total{%s,dropped} = %d, want 1", victim.name, got)
 	}
 	if ok, _ := victim.s.Store().Stat(ctx, keyB); ok {
 		t.Fatalf("phase B: dead owner has %s before recovery", keyB)
 	}
 
-	// Phase C — revive the owner. The replica's breaker half-opens after
-	// the cooldown; the replay loop (50ms ticker) drains the hint and the
-	// revived node converges to the reference bytes.
+	// Phase C — revive the owner. Probes through n0's client half-open
+	// its breaker once the cooldown has passed; a successful one closes
+	// it. Resubmitted, keyB forwards to the revived primary, whose store
+	// walk finds the replica's copy and read-repairs its own.
 	restore()
+	victimPeer := n0.s.cfg.Cluster.Peer(victim.name)
 	deadline := time.Now().Add(15 * time.Second)
-	for rep.s.SpoolDepth() > 0 {
+	for victimPeer.Breaker().State() != store.BreakerClosed {
 		if time.Now().After(deadline) {
-			t.Fatalf("phase C: hint spool never drained (depth %d)", rep.s.SpoolDepth())
+			t.Fatalf("phase C: n0's breaker for %s still %v", victim.name, victimPeer.Breaker().State())
 		}
+		_, _ = victimPeer.Store().Stat(ctx, keyB)
 		time.Sleep(10 * time.Millisecond)
 	}
-	hr := rep.s.Metrics().CounterVec("store_hints_replayed_total", "peer", "outcome")
-	if got := hr.With(victim.name, "ok").Value(); got != 1 {
-		t.Fatalf("phase C: store_hints_replayed_total{%s,ok} = %d, want 1", victim.name, got)
+	stC, _ := submitAndWait(bodyB)
+	if !hasEvent(jobEvents(t, n0.ts, stC.ID), EventForwarded) {
+		t.Fatalf("phase C: resubmitted job was not forwarded to the revived primary")
+	}
+	rr := victim.s.Metrics().CounterVec("store_read_repair_total", "target", "outcome")
+	if got := rr.With("self", "ok").Value(); got < 1 {
+		t.Fatalf("phase C: victim store_read_repair_total{self,ok} = %d, want >= 1", got)
 	}
 
 	// Convergence: every owner holds every campaign key, bitwise-identical
@@ -339,12 +348,10 @@ func TestRequestFromLoopback(t *testing.T) {
 }
 
 // TestReadyzRingStateAndReloadWindow: /readyz reports the ring (node
-// count, rf, members) and the hint-spool backlog, and answers 503
-// "reloading" while a membership swap is mid-flight.
+// count, rf, members), and answers 503 "reloading" while a membership
+// swap is mid-flight.
 func TestReadyzRingStateAndReloadWindow(t *testing.T) {
-	// An hour-long replay interval keeps the background loop from
-	// draining the probe hint under the assertion.
-	nodes := newFleetRF(t, 2, 2, time.Hour)
+	nodes := newFleetRF(t, 2, 2)
 	n0 := nodes[0]
 
 	code, data := get(t, n0.ts.URL+"/readyz")
@@ -360,19 +367,6 @@ func TestReadyzRingStateAndReloadWindow(t *testing.T) {
 	}
 	if len(body.Ring.Members) != 2 || body.Ring.Members[0] != "node-0" || body.Ring.Members[1] != "node-1" {
 		t.Fatalf("readyz members = %v", body.Ring.Members)
-	}
-	if body.HintSpoolDepth != 0 {
-		t.Fatalf("readyz hint_spool_depth = %d, want 0", body.HintSpoolDepth)
-	}
-
-	// A queued (deferred) hint surfaces in the spool depth.
-	key, _ := envelopeFor(t, `{"circuit":"c17","random_vectors":48,"seed":1}`, n0.s.cfg)
-	if err := n0.s.spool.Add("node-1", key, time.Now().Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	_, data = get(t, n0.ts.URL+"/readyz")
-	if body := decode[readyzBody](t, data); body.HintSpoolDepth != 1 {
-		t.Fatalf("readyz hint_spool_depth with queued hint = %d, want 1", body.HintSpoolDepth)
 	}
 
 	// Hold a reload between view build and swap: readyz must flip to 503

@@ -108,15 +108,6 @@ type Config struct {
 	// Membership, when non-nil, is the file-backed membership source
 	// behind POST /v1/cluster/reload (and dlprojd's SIGHUP handler).
 	Membership *cluster.Membership
-	// SpoolDir, when non-empty (and Cluster has RF > 1 with a resolved
-	// store), holds the hinted-handoff spool: replica writes that failed
-	// while a peer was down, replayed when its breaker closes. Keep it
-	// outside CacheDir — spool records are hints, not result envelopes.
-	SpoolDir string
-	// HintReplayInterval is the fallback cadence for draining the hint
-	// spool (breaker recovery triggers an immediate replay; the ticker
-	// catches deferred hints and missed wakeups). Default 5s.
-	HintReplayInterval time.Duration
 	// MaxBatch bounds the items of one /v1/pipeline:batch submission.
 	// Default 64.
 	MaxBatch int
@@ -153,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.HintReplayInterval <= 0 {
-		c.HintReplayInterval = 5 * time.Second
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
@@ -245,12 +233,6 @@ type Server struct {
 	// Replicated composition when the cluster runs with RF > 1, otherwise
 	// identical to store.
 	rstore store.Store
-	// replicated / spool are the replication internals (nil without RF > 1);
-	// replayWake is poked by a recovering peer breaker to trigger an
-	// immediate hint replay.
-	replicated *store.Replicated
-	spool      *store.Spool
-	replayWake chan struct{}
 
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast whenever queued/running change
@@ -345,29 +327,11 @@ func New(cfg Config) *Server {
 	}
 	s.rstore = s.store
 	if c := cfg.Cluster; c != nil && c.RF() > 1 && s.store != nil {
-		sm := store.NewMetrics(cfg.Obs.Metrics())
-		if cfg.SpoolDir != "" {
-			sp, err := store.NewSpool(cfg.SpoolDir, 0, sm)
-			if err != nil {
-				s.logger.Warn("hint spool disabled", "spool_dir", cfg.SpoolDir, "error", err)
-			} else {
-				s.spool = sp
-			}
-		}
-		rep, err := store.NewReplicated(s.store, c, s.spool, sm)
+		rep, err := store.NewReplicated(s.store, c, store.NewMetrics(cfg.Obs.Metrics()))
 		if err != nil {
 			s.logger.Warn("replication disabled", "error", err)
 		} else {
-			s.replicated = rep
 			s.rstore = rep
-			s.replayWake = make(chan struct{}, 1)
-			c.SetOnPeerRecovered(func(string) {
-				// Runs from inside a breaker transition — must not block.
-				select {
-				case s.replayWake <- struct{}{}:
-				default:
-				}
-			})
 		}
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -396,10 +360,6 @@ func New(cfg Config) *Server {
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
-	}
-	if s.replicated != nil {
-		s.wg.Add(1)
-		go s.hintReplayLoop()
 	}
 	return s
 }
@@ -883,7 +843,7 @@ func (s *Server) adoptFromPeer(j *job, peer *cluster.Peer, replicaFetch bool) *e
 	if s.store != nil {
 		// Backfill the local store only (not the replicated composition):
 		// adopting a result must not re-fan it out — the owners either hold
-		// it already or converge through hinted handoff and read-repair.
+		// it already or converge through read-repair.
 		if err := s.store.Put(j.ctx, j.key, data); err != nil {
 			s.logger.Warn("store backfill failed", "job", j.id, "key", j.key, "error", err)
 		}
@@ -895,33 +855,6 @@ func (s *Server) adoptFromPeer(j *job, peer *cluster.Peer, replicaFetch bool) *e
 		j.events.emit(EventReplicaFetch, "", "adopted replica copy of "+j.key+" from "+peer.Name())
 	}
 	return p
-}
-
-// hintReplayLoop drains the hinted-handoff spool in the background:
-// immediately when a peer's breaker closes (the recovery wake), and on a
-// slow ticker for deferred hints and missed wakeups. Exits on server
-// stop.
-func (s *Server) hintReplayLoop() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.HintReplayInterval)
-	defer tick.Stop()
-	for {
-		if s.spool != nil && s.spool.Depth() > 0 {
-			ctx, cancel := context.WithTimeout(s.baseCtx, 30*time.Second)
-			replayed, remaining := s.replicated.Replay(ctx)
-			cancel()
-			if replayed > 0 {
-				s.logger.Info("hinted handoff replayed",
-					"replayed", replayed, "remaining", remaining)
-			}
-		}
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-		case <-s.replayWake:
-		}
-	}
 }
 
 // ReloadMembership re-reads the peers file and swaps the ring — the
@@ -939,15 +872,6 @@ func (s *Server) ReloadMembership() (cluster.MembershipChange, error) {
 	s.logger.Info("membership reloaded",
 		"joined", ch.Joined, "left", ch.Left, "nodes", ch.Nodes)
 	return ch, nil
-}
-
-// SpoolDepth reports the pending hinted-handoff backlog (0 without a
-// spool) — surfaced on /readyz.
-func (s *Server) SpoolDepth() int {
-	if s.spool == nil {
-		return 0
-	}
-	return s.spool.Depth()
 }
 
 // finish classifies a run's outcome onto the job record, stamps the

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -97,6 +99,31 @@ func TestStoreEndpoints(t *testing.T) {
 	}
 	if ok, err := s.Store().Stat(context.Background(), otherKey); err != nil || ok {
 		t.Fatalf("corrupt envelope reached the store (ok=%v err=%v)", ok, err)
+	}
+}
+
+// TestStorePutHealsCorruptEntry: a torn copy already on disk does not
+// make a peer PUT of the good envelope a no-op — the PUT overwrites it
+// (201), GET then serves the good bytes, and a further PUT is the
+// idempotent 200.
+func TestStorePutHealsCorruptEntry(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, CacheDir: dir})
+	key, env := envelopeFor(t, smallC17, s.cfg)
+	url := ts.URL + "/v1/store/" + key
+	torn := env[:len(env)/2]
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if code, body := doReq(t, http.MethodPut, url, env); code != http.StatusCreated {
+		t.Fatalf("PUT over torn copy = %d, want 201; body: %s", code, body)
+	}
+	if code, got := doReq(t, http.MethodGet, url, nil); code != http.StatusOK || !bytes.Equal(got, env) {
+		t.Fatalf("GET after healing PUT = %d with %d bytes, want 200 with the %d PUT bytes", code, len(got), len(env))
+	}
+	if code, _ := doReq(t, http.MethodPut, url, env); code != http.StatusOK {
+		t.Fatalf("re-PUT over healed copy = %d, want 200 (idempotent)", code)
 	}
 }
 

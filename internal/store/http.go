@@ -225,8 +225,8 @@ func (t *Transport) attempt(ctx context.Context, build func(ctx context.Context)
 // checksum before returning it, so a corrupt peer blob surfaces as an
 // error here rather than a parse failure downstream. Put is idempotent by
 // construction (content-addressed keys) and the server side additionally
-// skips the write when the key already exists, so a retried Put never
-// double-writes.
+// skips the write when the key already holds a verified copy, so a
+// retried Put never double-writes.
 type HTTP struct {
 	base string
 	t    *Transport
@@ -338,7 +338,7 @@ func (h *HTTP) Put(ctx context.Context, key string, data []byte) error {
 		h.m.op(h.Name(), "put", "error")
 		return err
 	}
-	status, header, body, err := h.t.Do(ctx, func(ctx context.Context) (*http.Request, error) {
+	status, _, body, err := h.t.Do(ctx, func(ctx context.Context) (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut, h.url(key), bytes.NewReader(data))
 		if err != nil {
 			return nil, err
@@ -354,13 +354,11 @@ func (h *HTTP) Put(ctx context.Context, key string, data []byte) error {
 		h.m.op(h.Name(), "put", "ok")
 		return nil
 	case status == http.StatusTooManyRequests:
-		// The peer shed the write under load — retryable after its hint,
-		// not a failure. The transport already retried with the Retry-After
-		// delay and excluded 429 from breaker accounting; surfacing the
-		// typed error lets replication spool the write as a hinted handoff
-		// instead of treating the peer as down.
+		// The peer shed the write under load — load, not failure: the
+		// transport already retried with the Retry-After delay and kept
+		// 429 out of breaker accounting.
 		h.m.op(h.Name(), "put", "throttled")
-		return &Throttled{Key: key, RetryAfter: parseRetryAfter(header)}
+		return fmt.Errorf("store: http put %s: peer shed the write (429)", key)
 	}
 	h.m.op(h.Name(), "put", "error")
 	return fmt.Errorf("store: http put %s: status %d: %s", key, status, truncateBody(body))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ReplicaSet is the placement oracle Replicated composes over — the
@@ -43,10 +42,9 @@ func (o oneRemote) ReplicaStore(name string) Store {
 // placement:
 //
 //   - Put commits locally first (the node's source of truth), then fans
-//     the envelope out to every other owner. A fan-out failure never
-//     fails the Put — it queues a hinted handoff in the spool, replayed
-//     when the peer's breaker closes; a 429 defers the hint by the
-//     peer's Retry-After instead of counting the peer as down.
+//     the envelope out to every other owner. A fan-out failure — a dead
+//     peer, a 429, a transport error — never fails the Put: the copy is
+//     dropped and counted, and the owner converges through read-repair.
 //   - Get serves any locally cached copy, else walks the owners in ring
 //     order and read-repairs on the way out: the first verified copy is
 //     backfilled to the local store and to every earlier-ranked owner
@@ -55,30 +53,25 @@ func (o oneRemote) ReplicaStore(name string) Store {
 //
 // Content addressing does the heavy lifting: a key fully determines its
 // bytes, so there is no "stale" copy to reconcile — only present,
-// missing, or corrupt — and every repair is an idempotent Put.
+// missing, or corrupt — and every repair is an idempotent Put. A lost
+// copy therefore costs at most one recompute, never a result.
 type Replicated struct {
 	local Store
 	rs    ReplicaSet
-	spool *Spool // nil: fan-out still happens, failures are dropped instead of hinted
 	m     *Metrics
-	now   func() time.Time
 }
 
-// NewReplicated composes local with the replica set. spool may be nil
-// (no hinted handoff — failed fan-outs are dropped and left to
-// read-repair); local and rs must be non-nil.
-func NewReplicated(local Store, rs ReplicaSet, spool *Spool, m *Metrics) (*Replicated, error) {
+// NewReplicated composes local with the replica set; both must be
+// non-nil.
+func NewReplicated(local Store, rs ReplicaSet, m *Metrics) (*Replicated, error) {
 	if local == nil || rs == nil {
 		return nil, errors.New("store: replicated needs a local store and a replica set")
 	}
-	return &Replicated{local: local, rs: rs, spool: spool, m: m, now: time.Now}, nil
+	return &Replicated{local: local, rs: rs, m: m}, nil
 }
 
 // Name implements Store.
 func (r *Replicated) Name() string { return "replicated" }
-
-// Spool returns the hinted-handoff spool (nil when disabled).
-func (r *Replicated) Spool() *Spool { return r.spool }
 
 // Put implements Store: local write first (must succeed), then best-
 // effort fan-out to the other owners.
@@ -101,55 +94,21 @@ func (r *Replicated) Put(ctx context.Context, key string, data []byte) error {
 	return nil
 }
 
-// replicateTo pushes one envelope to one owner, spooling a hint on
-// failure.
+// replicateTo pushes one envelope to one owner; a failed push is dropped.
 func (r *Replicated) replicateTo(ctx context.Context, peer, key string, data []byte) {
 	st := r.rs.ReplicaStore(peer)
 	if st == nil {
-		// Unknown or departed owner: nothing to dial, nothing to spool —
-		// Owners and ReplicaStore race only across a membership swap, and
-		// the new owner set will replicate on its own.
+		// Unknown or departed owner: nothing to dial — Owners and
+		// ReplicaStore race only across a membership swap, and the new
+		// owner set will replicate on its own.
 		r.m.replicate(peer, "no_client")
 		return
 	}
-	err := st.Put(ctx, key, data)
-	if err == nil {
-		r.m.replicate(peer, "ok")
-		return
-	}
-	if th, ok := AsThrottled(err); ok {
-		r.hint(peer, key, r.retryAt(th), "throttled")
-		return
-	}
-	r.hint(peer, key, time.Time{}, "spooled")
-}
-
-// retryAt converts a 429's Retry-After into the hint's NotBefore, with a
-// 1s floor so a hint never spins hot against a shedding peer.
-func (r *Replicated) retryAt(th *Throttled) time.Time {
-	ra := th.RetryAfter
-	if ra < time.Second {
-		ra = time.Second
-	}
-	return r.now().Add(ra)
-}
-
-// hint spools a failed replica write, recording outcome (or the spool
-// failure) in the replicate counter.
-func (r *Replicated) hint(peer, key string, notBefore time.Time, outcome string) {
-	if r.spool == nil {
+	if err := st.Put(ctx, key, data); err != nil {
 		r.m.replicate(peer, "dropped")
 		return
 	}
-	if err := r.spool.Add(peer, key, notBefore); err != nil {
-		if errors.Is(err, ErrSpoolFull) {
-			r.m.replicate(peer, "spool_full")
-		} else {
-			r.m.replicate(peer, "dropped")
-		}
-		return
-	}
-	r.m.replicate(peer, outcome)
+	r.m.replicate(peer, "ok")
 }
 
 // Get implements Store: local copy first (any verified copy is current —
@@ -197,14 +156,14 @@ func (r *Replicated) Get(ctx context.Context, key string) ([]byte, error) {
 				missed = append(missed, owner)
 			}
 			// Unreachable or erroring owner: skip — if it lacks the copy a
-			// spooled hint or a later read-repair converges it.
+			// later read-repair converges it.
 			continue
 		}
 		if VerifyEnvelope(data) != nil {
 			continue
 		}
-		// Read repair: the local cache first (serves the next read and is
-		// the source for hint replay), then every owner that missed.
+		// Read repair: the local cache first (serves the next read), then
+		// every owner that missed.
 		if lerr := r.local.Put(ctx, key, data); lerr == nil {
 			r.m.readRepair("self", "ok")
 		} else {
@@ -220,27 +179,18 @@ func (r *Replicated) Get(ctx context.Context, key string) ([]byte, error) {
 	return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 }
 
-// repairOwner backfills one under-replicated owner, spooling a hint when
-// the push fails so convergence survives the owner bouncing again.
+// repairOwner backfills one under-replicated owner; a failed push is
+// left to the next read.
 func (r *Replicated) repairOwner(ctx context.Context, peer, key string, data []byte) {
 	st := r.rs.ReplicaStore(peer)
 	if st == nil {
 		return
 	}
-	err := st.Put(ctx, key, data)
-	if err == nil {
-		r.m.readRepair(peer, "ok")
+	if err := st.Put(ctx, key, data); err != nil {
+		r.m.readRepair(peer, "error")
 		return
 	}
-	notBefore := time.Time{}
-	if th, ok := AsThrottled(err); ok {
-		notBefore = r.retryAt(th)
-	}
-	if r.spool != nil && r.spool.Add(peer, key, notBefore) == nil {
-		r.m.readRepair(peer, "spooled")
-		return
-	}
-	r.m.readRepair(peer, "error")
+	r.m.readRepair(peer, "ok")
 }
 
 // Stat implements Store: local, then each remote owner; errors degrade
@@ -274,61 +224,4 @@ func (r *Replicated) Stat(ctx context.Context, key string) (bool, error) {
 	}
 	r.m.op(r.Name(), "stat", "miss")
 	return false, nil
-}
-
-// Replay drains ready hints: for every spooled peer still in the replica
-// set, each due hint's envelope is read back from the local store and
-// pushed. Hints for departed members are dropped (the ring no longer
-// places those keys there); hints whose envelope vanished locally are
-// dropped too (nothing to push). A throttling peer defers its hints; any
-// other push error stops that peer's drain for this pass (its breaker is
-// almost certainly open again). Returns the number of hints replayed and
-// the number still pending.
-func (r *Replicated) Replay(ctx context.Context) (replayed, remaining int) {
-	if r.spool == nil {
-		return 0, 0
-	}
-	for _, peer := range r.spool.Peers() {
-		st := r.rs.ReplicaStore(peer)
-		if st == nil {
-			for _, h := range r.spool.Pending(peer) {
-				r.spool.Remove(peer, h.Key)
-				r.m.hintReplayed(peer, "dropped_member")
-			}
-			continue
-		}
-		now := r.now()
-		for _, h := range r.spool.Pending(peer) {
-			if ctx.Err() != nil {
-				return replayed, r.spool.Depth()
-			}
-			if h.NotBefore.After(now) {
-				continue // deferred; stays pending without a counter tick
-			}
-			data, err := r.local.Get(ctx, h.Key)
-			if errors.Is(err, ErrNotFound) {
-				r.spool.Remove(peer, h.Key)
-				r.m.hintReplayed(peer, "dropped_missing")
-				continue
-			}
-			if err != nil {
-				continue
-			}
-			err = st.Put(ctx, h.Key, data)
-			if err == nil {
-				r.spool.Remove(peer, h.Key)
-				r.m.hintReplayed(peer, "ok")
-				replayed++
-				continue
-			}
-			if th, ok := AsThrottled(err); ok {
-				_ = r.spool.Add(peer, h.Key, r.retryAt(th))
-				r.m.hintReplayed(peer, "deferred")
-				continue
-			}
-			r.m.hintReplayed(peer, "error")
-			break
-		}
-	}
-	return replayed, r.spool.Depth()
 }

@@ -15,58 +15,22 @@ import (
 )
 
 // fakeReplicaSet is a static placement oracle: every key gets the same
-// ordered owner list, and each owner's store can be swapped mid-test to
-// simulate death and recovery.
+// ordered owner list, served by a fixed store per remote owner.
 type fakeReplicaSet struct {
 	self   string
 	owners []string
-
-	mu     sync.Mutex
 	stores map[string]Store
 }
 
-func (f *fakeReplicaSet) Self() string           { return f.self }
-func (f *fakeReplicaSet) Owners(string) []string { return append([]string(nil), f.owners...) }
-func (f *fakeReplicaSet) ReplicaStore(name string) Store {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stores[name]
-}
+func (f *fakeReplicaSet) Self() string                   { return f.self }
+func (f *fakeReplicaSet) Owners(string) []string         { return append([]string(nil), f.owners...) }
+func (f *fakeReplicaSet) ReplicaStore(name string) Store { return f.stores[name] }
 
-func (f *fakeReplicaSet) setStore(name string, st Store) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if st == nil {
-		delete(f.stores, name)
-		return
-	}
-	f.stores[name] = st
-}
-
-// throttledStore sheds every Put with a 429-shaped Throttled error.
-type throttledStore struct {
-	*memStore
-	retryAfter time.Duration
-}
-
-func (s *throttledStore) Put(_ context.Context, key string, _ []byte) error {
-	return &Throttled{Key: key, RetryAfter: s.retryAfter}
-}
-
-func newReplicated(t *testing.T, rs *fakeReplicaSet, withSpool bool) (*Replicated, *memStore, *obs.Registry) {
+func newReplicated(t *testing.T, rs *fakeReplicaSet) (*Replicated, *memStore, *obs.Registry) {
 	t.Helper()
 	reg := obs.New().Metrics()
-	m := NewMetrics(reg)
 	local := newMemStore()
-	var sp *Spool
-	if withSpool {
-		var err error
-		sp, err = NewSpool(t.TempDir(), 0, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := NewReplicated(local, rs, sp, m)
+	r, err := NewReplicated(local, rs, NewMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +40,7 @@ func newReplicated(t *testing.T, rs *fakeReplicaSet, withSpool bool) (*Replicate
 func TestReplicatedPutFansOut(t *testing.T) {
 	b := newMemStore()
 	rs := &fakeReplicaSet{self: "a", owners: []string{"a", "b"}, stores: map[string]Store{"b": b}}
-	r, local, reg := newReplicated(t, rs, true)
+	r, local, reg := newReplicated(t, rs)
 	ctx := context.Background()
 	key := testKey(30)
 	data := testEnvelope(t, `{"fan":"out"}`)
@@ -94,119 +58,71 @@ func TestReplicatedPutFansOut(t *testing.T) {
 	if got := rep.With("b", "ok").Value(); got != 1 {
 		t.Fatalf("store_replicate_total{b,ok} = %d, want 1", got)
 	}
-	if r.Spool().Depth() != 0 {
-		t.Fatalf("healthy fan-out left %d hints", r.Spool().Depth())
-	}
 }
 
-func TestReplicatedPutSpoolsOnFailureAndReplays(t *testing.T) {
-	rs := &fakeReplicaSet{self: "a", owners: []string{"a", "b"}, stores: map[string]Store{
-		"b": failingStore{err: errors.New("replica down")},
-	}}
-	r, _, reg := newReplicated(t, rs, true)
+// TestReplicatedPutDropsFailedCopyOwnerReadRepairs: a fan-out that fails
+// — a dead replica, or one shedding the write with 429 — never fails the
+// Put; the copy is dropped and counted, and the recovered owner's first
+// read repairs its own local copy from the writer.
+func TestReplicatedPutDropsFailedCopyOwnerReadRepairs(t *testing.T) {
+	srv := newStoreServer()
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	srv.failStatus.Store(http.StatusTooManyRequests)
+	srv.failLeft.Store(1 << 30)
+	shedding := newHTTPStore(t, ts, obs.New().Metrics())
+
 	ctx := context.Background()
-	key := testKey(31)
-	data := testEnvelope(t, `{"hint":"me"}`)
+	for i, tc := range []struct {
+		name    string
+		replica Store
+	}{
+		{"dead", failingStore{err: errors.New("replica down")}},
+		{"shedding", shedding},
+	} {
+		key := testKey(byte(31 + i))
+		data := testEnvelope(t, fmt.Sprintf(`{"dropped":%q}`, tc.name))
 
-	// The replica is dead: Put still succeeds (local copy is the source of
-	// truth) and the failed fan-out becomes a durable hint.
-	if err := r.Put(ctx, key, data); err != nil {
-		t.Fatalf("Put with dead replica: %v", err)
-	}
-	rep := reg.CounterVec("store_replicate_total", "peer", "outcome")
-	if got := rep.With("b", "spooled").Value(); got != 1 {
-		t.Fatalf("store_replicate_total{b,spooled} = %d, want 1", got)
-	}
-	if got := r.Spool().Depth(); got != 1 {
-		t.Fatalf("spool depth = %d, want 1", got)
-	}
-	if got := reg.Gauge("store_hint_spool_depth").Value(); got != 1 {
-		t.Fatalf("store_hint_spool_depth = %v, want 1", got)
-	}
+		// Owner b is the primary and unusable; writer a computes as
+		// stand-in. Put succeeds on the local copy alone.
+		rs := &fakeReplicaSet{self: "a", owners: []string{"b", "a"}, stores: map[string]Store{"b": tc.replica}}
+		r, writer, reg := newReplicated(t, rs)
+		if err := r.Put(ctx, key, data); err != nil {
+			t.Fatalf("%s: Put = %v, want success on the local copy", tc.name, err)
+		}
+		rep := reg.CounterVec("store_replicate_total", "peer", "outcome")
+		if got := rep.With("b", "dropped").Value(); got != 1 {
+			t.Fatalf("%s: store_replicate_total{b,dropped} = %d, want 1", tc.name, got)
+		}
+		if got := rep.With("b", "ok").Value(); got != 0 {
+			t.Fatalf("%s: store_replicate_total{b,ok} = %d, want 0", tc.name, got)
+		}
 
-	// Replay against the still-dead replica: the error stops the drain and
-	// the hint stays queued.
-	if replayed, remaining := r.Replay(ctx); replayed != 0 || remaining != 1 {
-		t.Fatalf("Replay against dead replica = %d, %d, want 0, 1", replayed, remaining)
+		// b comes back empty: its first Get misses locally, walks the
+		// owners, finds the writer's copy and repairs itself.
+		brs := &fakeReplicaSet{self: "b", owners: []string{"b", "a"}, stores: map[string]Store{"a": writer}}
+		rb, bLocal, breg := newReplicated(t, brs)
+		got, err := rb.Get(ctx, key)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: recovered owner Get = %q, %v", tc.name, got, err)
+		}
+		if lv, err := bLocal.Get(ctx, key); err != nil || !bytes.Equal(lv, data) {
+			t.Fatalf("%s: recovered owner local copy = %q, %v", tc.name, lv, err)
+		}
+		rr := breg.CounterVec("store_read_repair_total", "target", "outcome")
+		if got := rr.With("self", "ok").Value(); got != 1 {
+			t.Fatalf("%s: store_read_repair_total{self,ok} = %d, want 1", tc.name, got)
+		}
 	}
-
-	// The replica recovers: replay pushes the envelope and clears the hint.
-	b := newMemStore()
-	rs.setStore("b", b)
-	replayed, remaining := r.Replay(ctx)
-	if replayed != 1 || remaining != 0 {
-		t.Fatalf("Replay after recovery = %d, %d, want 1, 0", replayed, remaining)
-	}
-	got, err := b.Get(ctx, key)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("replica copy after replay = %q, %v", got, err)
-	}
-	hr := reg.CounterVec("store_hints_replayed_total", "peer", "outcome")
-	if got := hr.With("b", "ok").Value(); got != 1 {
-		t.Fatalf("store_hints_replayed_total{b,ok} = %d, want 1", got)
-	}
-	if got := reg.Gauge("store_hint_spool_depth").Value(); got != 0 {
-		t.Fatalf("store_hint_spool_depth after drain = %v, want 0", got)
-	}
-}
-
-// TestReplicatedThrottledDefersHint pins satellite semantics: a 429 from
-// a replica is back-pressure, not death — the hint is deferred by
-// Retry-After (floored at 1s) and replay skips it until that instant.
-func TestReplicatedThrottledDefersHint(t *testing.T) {
-	rs := &fakeReplicaSet{self: "a", owners: []string{"a", "b"}, stores: map[string]Store{
-		"b": &throttledStore{memStore: newMemStore(), retryAfter: 5 * time.Second},
-	}}
-	r, _, reg := newReplicated(t, rs, true)
-	base := time.Now()
-	r.now = func() time.Time { return base }
-	ctx := context.Background()
-	key := testKey(32)
-	data := testEnvelope(t, `{"shed":"me"}`)
-
-	if err := r.Put(ctx, key, data); err != nil {
-		t.Fatalf("Put against throttling replica: %v", err)
-	}
-	rep := reg.CounterVec("store_replicate_total", "peer", "outcome")
-	if got := rep.With("b", "throttled").Value(); got != 1 {
-		t.Fatalf("store_replicate_total{b,throttled} = %d, want 1", got)
-	}
-	hints := r.Spool().Pending("b")
-	if len(hints) != 1 {
-		t.Fatalf("pending hints = %v, want one", hints)
-	}
-	if want := base.Add(5 * time.Second); !hints[0].NotBefore.Equal(want) {
-		t.Fatalf("hint NotBefore = %v, want %v", hints[0].NotBefore, want)
-	}
-
-	// Replay before NotBefore: the hint is skipped, still pending, and no
-	// Put reaches the shedding peer.
-	rs.setStore("b", newMemStore())
-	if replayed, remaining := r.Replay(ctx); replayed != 0 || remaining != 1 {
-		t.Fatalf("early Replay = %d, %d, want 0, 1", replayed, remaining)
-	}
-	// Past NotBefore the hint drains.
-	r.now = func() time.Time { return base.Add(6 * time.Second) }
-	if replayed, remaining := r.Replay(ctx); replayed != 1 || remaining != 0 {
-		t.Fatalf("due Replay = %d, %d, want 1, 0", replayed, remaining)
-	}
-
-	// The 1s floor: a zero Retry-After still defers by one second.
-	rs.setStore("b", &throttledStore{memStore: newMemStore()})
-	key2 := testKey(33)
-	if err := r.Put(ctx, key2, testEnvelope(t, `{"floor":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	h2 := r.Spool().Pending("b")
-	if len(h2) != 1 || !h2[0].NotBefore.Equal(base.Add(6*time.Second).Add(time.Second)) {
-		t.Fatalf("floored hint = %+v, want NotBefore now+1s", h2)
+	if got := srv.puts.Load(); got != 0 {
+		t.Fatalf("shedding peer accepted %d puts, want 0", got)
 	}
 }
 
 func TestReplicatedGetReadRepairs(t *testing.T) {
 	b, c := newMemStore(), newMemStore()
 	rs := &fakeReplicaSet{self: "a", owners: []string{"b", "a", "c"}, stores: map[string]Store{"b": b, "c": c}}
-	r, local, reg := newReplicated(t, rs, true)
+	r, local, reg := newReplicated(t, rs)
 	ctx := context.Background()
 	key := testKey(34)
 	data := testEnvelope(t, `{"repair":"walk"}`)
@@ -245,7 +161,7 @@ func TestReplicatedGetReadRepairs(t *testing.T) {
 func TestReplicatedGetHealsCorruptLocal(t *testing.T) {
 	b := newMemStore()
 	rs := &fakeReplicaSet{self: "a", owners: []string{"a", "b"}, stores: map[string]Store{"b": b}}
-	r, local, reg := newReplicated(t, rs, true)
+	r, local, reg := newReplicated(t, rs)
 	ctx := context.Background()
 	key := testKey(36)
 	data := testEnvelope(t, `{"good":"copy"}`)
@@ -272,7 +188,7 @@ func TestReplicatedGetHealsCorruptLocal(t *testing.T) {
 	// A corrupt REPLICA copy is skipped, not served: corrupt b, good c.
 	c := newMemStore()
 	rs2 := &fakeReplicaSet{self: "a", owners: []string{"b", "c", "a"}, stores: map[string]Store{"b": b, "c": c}}
-	r2, _, _ := newReplicated(t, rs2, true)
+	r2, _, _ := newReplicated(t, rs2)
 	key2 := testKey(37)
 	data2 := testEnvelope(t, `{"second":"copy"}`)
 	if err := b.Put(ctx, key2, []byte("torn bytes")); err != nil {
@@ -286,50 +202,10 @@ func TestReplicatedGetHealsCorruptLocal(t *testing.T) {
 	}
 }
 
-func TestReplicatedReplayDropsDepartedAndMissing(t *testing.T) {
-	b := newMemStore()
-	rs := &fakeReplicaSet{self: "a", owners: []string{"a", "b"}, stores: map[string]Store{"b": b}}
-	r, local, reg := newReplicated(t, rs, true)
-	ctx := context.Background()
-
-	// A hint for a peer that has left the membership: dropped outright.
-	if err := r.Spool().Add("gone", testKey(38), time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	// A hint whose envelope no longer exists locally: dropped too.
-	if err := r.Spool().Add("b", testKey(39), time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	// A live hint that must drain.
-	key := testKey(40)
-	data := testEnvelope(t, `{"live":"hint"}`)
-	if err := local.Put(ctx, key, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Spool().Add("b", key, time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-
-	replayed, remaining := r.Replay(ctx)
-	if replayed != 1 || remaining != 0 {
-		t.Fatalf("Replay = %d, %d, want 1, 0", replayed, remaining)
-	}
-	hr := reg.CounterVec("store_hints_replayed_total", "peer", "outcome")
-	if got := hr.With("gone", "dropped_member").Value(); got != 1 {
-		t.Fatalf("dropped_member = %d, want 1", got)
-	}
-	if got := hr.With("b", "dropped_missing").Value(); got != 1 {
-		t.Fatalf("dropped_missing = %d, want 1", got)
-	}
-	if got, err := b.Get(ctx, key); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("live hint not delivered: %q, %v", got, err)
-	}
-}
-
 func TestReplicatedStatWalksOwners(t *testing.T) {
 	b := newMemStore()
 	rs := &fakeReplicaSet{self: "a", owners: []string{"a", "b"}, stores: map[string]Store{"b": b}}
-	r, _, _ := newReplicated(t, rs, false)
+	r, _, _ := newReplicated(t, rs)
 	ctx := context.Background()
 	key := testKey(41)
 	if ok, err := r.Stat(ctx, key); err != nil || ok {
@@ -343,12 +219,12 @@ func TestReplicatedStatWalksOwners(t *testing.T) {
 	}
 }
 
-// TestHTTPPutThrottledSurfacesTyped pins the satellite contract on the
-// HTTP store client: a final 429 from a peer's store API surfaces as a
-// typed *Throttled carrying Retry-After, and — unlike a transport
-// failure — never counts against the peer's breaker. The contrast case
-// uses the partial-response injector: short reads are real failures and
-// do open the breaker.
+// TestHTTPPutThrottledSurfacesTyped pins the HTTP store client's 429
+// contract: a final 429 from a peer's store API fails the Put and is
+// counted as store_ops_total{http,put,throttled}, but — unlike a
+// transport failure — never counts against the peer's breaker. The
+// contrast case uses the partial-response injector: short reads are real
+// failures and do open the breaker.
 func TestHTTPPutThrottledSurfacesTyped(t *testing.T) {
 	srv := newStoreServer()
 	ts := httptest.NewServer(srv.handler())
@@ -376,14 +252,13 @@ func TestHTTPPutThrottledSurfacesTyped(t *testing.T) {
 	srv.retryAfter.Store(2)
 	srv.failLeft.Store(3)
 	for i := 0; i < 3; i++ {
-		err := h.Put(ctx, key, data)
-		th, ok := AsThrottled(err)
-		if !ok {
-			t.Fatalf("Put #%d against shedding peer = %v, want *Throttled", i, err)
+		if err := h.Put(ctx, key, data); err == nil {
+			t.Fatalf("Put #%d against shedding peer succeeded", i)
 		}
-		if th.Key != key || th.RetryAfter != 2*time.Second {
-			t.Fatalf("Throttled = %+v, want key %s retry-after 2s", th, key)
-		}
+	}
+	ops := reg.CounterVec("store_ops_total", "backend", "op", "outcome")
+	if got := ops.With("http", "put", "throttled").Value(); got != 3 {
+		t.Fatalf("store_ops_total{http,put,throttled} = %d, want 3", got)
 	}
 	if st := h.Breaker().State(); st != BreakerClosed {
 		t.Fatalf("breaker after 429s = %v, want closed (shedding is not death)", st)

@@ -10,7 +10,8 @@
 //   - Replicated: the local store composed with remote owners from a
 //     ReplicaSet — a cluster ring, or OneRemote for a single shared
 //     remote — with local-first reads, read repair and best-effort
-//     fan-out.
+//     fan-out. A failed copy is dropped, not queued: the owner that
+//     missed it converges through read-repair on its first read.
 //
 // The package owns the envelope format: Seal wraps a payload as
 // {version, checksum, payload} and Open verifies and unwraps it, so the
@@ -31,7 +32,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"defectsim/internal/obs"
 )
@@ -77,31 +77,6 @@ func ValidKey(key string) bool {
 // retried, never breaker-counted.
 func errBadKey(key string) error {
 	return fmt.Errorf("store: invalid key %q (want 32 lowercase hex chars)", key)
-}
-
-// Throttled reports an operation the peer explicitly shed with 429 —
-// load, not failure. It never counts against the peer's breaker (the
-// transport already excludes 429 from failure accounting); callers that
-// can defer the work (hinted handoff) should retry after RetryAfter.
-type Throttled struct {
-	// Key is the envelope key the shed operation targeted.
-	Key string
-	// RetryAfter is the peer's Retry-After hint; 0 when absent.
-	RetryAfter time.Duration
-}
-
-// Error implements error.
-func (t *Throttled) Error() string {
-	return fmt.Sprintf("store: peer shed key %s (429, retry after %s)", t.Key, t.RetryAfter)
-}
-
-// AsThrottled unwraps err into a *Throttled if one is in the chain.
-func AsThrottled(err error) (*Throttled, bool) {
-	var t *Throttled
-	if errors.As(err, &t) {
-		return t, true
-	}
-	return nil, false
 }
 
 // envelope is the wire shape of every stored result:
@@ -156,7 +131,8 @@ func VerifyEnvelope(data []byte) error {
 // nil registry) makes every observation a no-op.
 type Metrics struct {
 	// Ops counts operations: store_ops_total{backend,op,outcome} with op
-	// get/put/stat and outcome hit/miss/ok/error.
+	// get/put/stat and outcome hit/miss/ok/error, plus throttled for an
+	// http put the peer shed with 429.
 	Ops *obs.CounterVec
 	// Retries counts retried HTTP attempts: store_retries_total{backend}.
 	Retries *obs.CounterVec
@@ -164,33 +140,23 @@ type Metrics struct {
 	// 0 closed, 1 open, 2 half-open.
 	BreakerState *obs.GaugeVec
 	// Replicate counts replica fan-out writes:
-	// store_replicate_total{peer,outcome} with outcome
-	// ok/throttled/spooled/spool_full/dropped/no_client.
+	// store_replicate_total{peer,outcome} with outcome ok/dropped/no_client.
 	Replicate *obs.CounterVec
 	// ReadRepair counts read-repair backfills:
 	// store_read_repair_total{target,outcome} with target a peer name or
-	// "self" and outcome ok/spooled/error/corrupt_local.
+	// "self" and outcome ok/error/corrupt_local.
 	ReadRepair *obs.CounterVec
-	// HintsReplayed counts hinted-handoff replay outcomes:
-	// store_hints_replayed_total{peer,outcome} with outcome
-	// ok/deferred/error/dropped_member/dropped_missing.
-	HintsReplayed *obs.CounterVec
-	// SpoolDepth gauges pending hinted-handoff entries across all peers:
-	// store_hint_spool_depth.
-	SpoolDepth *obs.Gauge
 }
 
 // NewMetrics registers (or resolves) the store instrument families on
 // reg. Nil-safe: a nil registry yields no-op instruments.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Ops:           reg.CounterVec("store_ops_total", "backend", "op", "outcome"),
-		Retries:       reg.CounterVec("store_retries_total", "backend"),
-		BreakerState:  reg.GaugeVec("store_breaker_state", "backend"),
-		Replicate:     reg.CounterVec("store_replicate_total", "peer", "outcome"),
-		ReadRepair:    reg.CounterVec("store_read_repair_total", "target", "outcome"),
-		HintsReplayed: reg.CounterVec("store_hints_replayed_total", "peer", "outcome"),
-		SpoolDepth:    reg.Gauge("store_hint_spool_depth"),
+		Ops:          reg.CounterVec("store_ops_total", "backend", "op", "outcome"),
+		Retries:      reg.CounterVec("store_retries_total", "backend"),
+		BreakerState: reg.GaugeVec("store_breaker_state", "backend"),
+		Replicate:    reg.CounterVec("store_replicate_total", "peer", "outcome"),
+		ReadRepair:   reg.CounterVec("store_read_repair_total", "target", "outcome"),
 	}
 }
 
@@ -227,18 +193,4 @@ func (m *Metrics) readRepair(target, outcome string) {
 		return
 	}
 	m.ReadRepair.With(target, outcome).Inc()
-}
-
-func (m *Metrics) hintReplayed(peer, outcome string) {
-	if m == nil {
-		return
-	}
-	m.HintsReplayed.With(peer, outcome).Inc()
-}
-
-func (m *Metrics) spoolDepth(n int) {
-	if m == nil {
-		return
-	}
-	m.SpoolDepth.Set(float64(n))
 }

@@ -243,10 +243,10 @@ func (s *memStore) Stat(_ context.Context, key string) (bool, error) {
 func (s *memStore) Name() string { return "mem" }
 
 // newOneRemote layers local over remote the way dlprojd -store-remote
-// does: Replicated over OneRemote, without a hint spool.
+// does: Replicated over OneRemote.
 func newOneRemote(t *testing.T, local, remote Store, m *Metrics) *Replicated {
 	t.Helper()
-	r, err := NewReplicated(local, OneRemote(remote), nil, m)
+	r, err := NewReplicated(local, OneRemote(remote), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +293,7 @@ func TestOneRemoteDegradesToLocalOnRemoteFailure(t *testing.T) {
 	if ok, err := r.Stat(ctx, testKey(7)); err != nil || ok {
 		t.Fatalf("Stat with dead remote = %v, %v, want false, nil", ok, err)
 	}
-	// The failed copy to the remote was counted as dropped: there is no
-	// spool to hint it into.
+	// The failed copy to the remote was counted as dropped.
 	rep := reg.CounterVec("store_replicate_total", "peer", "outcome")
 	if got := rep.With("remote", "dropped").Value(); got != 1 {
 		t.Fatalf("store_replicate_total{remote,dropped} = %d, want 1", got)
