@@ -24,6 +24,7 @@ import (
 	"defectsim/internal/layout"
 	"defectsim/internal/netlist"
 	"defectsim/internal/obs"
+	"defectsim/internal/store"
 	"defectsim/internal/switchsim"
 	"defectsim/internal/transistor"
 )
@@ -595,6 +596,38 @@ func BenchmarkSwitchSimSmallCircuits(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkPipelineStoreHitC432 times a result-store hit on the
+// c432-class pipeline whose front end is already memoized — what a server
+// pays for a repeated design: the store read, the envelope check, six
+// front-end stages served from the memo, cache-load and the curves.
+// Without the memo every hit rebuilds layout, LVS and extraction.
+func BenchmarkPipelineStoreHitC432(b *testing.B) {
+	ctx := context.Background()
+	data, err := c432Pipeline(b).EncodeCache()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.NewFS(b.TempDir(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl, cfg := netlist.C432Class(1994), experiments.DefaultConfig()
+	if err := st.Put(ctx, experiments.CacheKey(nl.Name, cfg), data); err != nil {
+		b.Fatal(err)
+	}
+	cfg.FrontEnds = experiments.NewFrontEnds(nil)
+	hit := func() {
+		if _, ok, err := experiments.RunStoredCtx(ctx, nl, cfg, st); err != nil || !ok {
+			b.Fatalf("store hit = %v, err = %v", ok, err)
+		}
+	}
+	hit() // builds the front end into the memo
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hit()
 	}
 }
 

@@ -19,8 +19,11 @@ import (
 
 // cacheFile is the serialized form of a pipeline's expensive simulation
 // results. Everything else (layout, extraction, transistor netlist, the
-// fault universes) is deterministic and cheap to rebuild, so only the
-// vectors and detection data are stored. The payload is sealed in the
+// fault universes) is the front end: a pure function of the netlist, the
+// defect statistics and the target yield, which a hit rebuilds or takes
+// from a FrontEnds memo. Rebuilding it is not cheap — it is most of a
+// memo-less c432-class hit — but it needs nothing stored, so only the
+// vectors and detection data are. The payload is sealed in the
 // store's checksummed envelope (store.Seal); an entry that fails
 // store.Open, carries the wrong version or fails the restore checks is
 // treated as corrupt: the caller falls back to a fresh run and the event

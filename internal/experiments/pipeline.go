@@ -31,7 +31,6 @@ import (
 	"defectsim/internal/atpg"
 	"defectsim/internal/coverage"
 	"defectsim/internal/defect"
-	"defectsim/internal/extract"
 	"defectsim/internal/fault"
 	"defectsim/internal/layout"
 	"defectsim/internal/netlist"
@@ -82,6 +81,15 @@ type Config struct {
 	// policy); negative counts are rejected by Validate. Simulation
 	// results are bitwise identical for every worker count.
 	Workers int
+	// FrontEnds, when non-nil, memoizes the front end (layout through
+	// stuckat-collapse) across runs: a run of a design the memo holds —
+	// same netlist, defect statistics and target yield — shares its
+	// artifacts instead of rebuilding them. Like Obs and Workers it is
+	// execution-only and stays out of CacheKey: results are bitwise
+	// identical with and without it. A memoized front end keeps the
+	// netlist it was built from, which must not change afterwards. Nil
+	// builds the front end every time.
+	FrontEnds *FrontEnds
 }
 
 // DefaultConfig returns the configuration of the paper's c432 experiment.
@@ -142,6 +150,11 @@ func (c *Config) Validate() error {
 }
 
 // Pipeline is a fully simulated design: every artifact the figures need.
+//
+// Layout, Faults, Circuit and StuckAt are the front end. With
+// Config.FrontEnds set they may be shared with every other run of the
+// same design, so they are read-only: a study that needs a variant copies
+// it first (RunResistiveBridgeStudy builds its own bridge list).
 type Pipeline struct {
 	Config  Config
 	Netlist *netlist.Netlist
@@ -340,7 +353,8 @@ func RunCtx(ctx context.Context, nl *netlist.Netlist, cfg Config) (*Pipeline, er
 }
 
 // run executes the pipeline stages under the hardening policy. The
-// deterministic front end (layout through stuckat-collapse) always runs.
+// deterministic front end (layout through stuckat-collapse) always runs,
+// served from cfg.FrontEnds when the memo holds the design.
 // With cf set, a cache-load stage then restores the simulation results
 // from the stored payload in place of atpg and switch-sim, and hit
 // reports it (the run report is flagged CacheHit). A payload that fails
@@ -372,56 +386,7 @@ func run(ctx context.Context, nl *netlist.Netlist, cfg Config, cf *cacheFile, fa
 		}
 	}()
 
-	if err := r.stage("layout", func(ctx context.Context) error {
-		var err error
-		p.Layout, err = layout.BuildCtx(ctx, nl, nil)
-		return err
-	}); err != nil {
-		return nil, false, err
-	}
-
-	if err := r.stage("lvs", func(ctx context.Context) error {
-		return extract.VerifyLVS(p.Layout)
-	}); err != nil {
-		return nil, false, err
-	}
-
-	if err := r.stage("extract", func(ctx context.Context) error {
-		var err error
-		p.Faults, err = extract.FaultsCtx(ctx, p.Layout, cfg.Stats, reg)
-		if err != nil {
-			return err
-		}
-		if len(p.Faults.Faults) == 0 {
-			return fmt.Errorf("no faults extracted from %s", nl.Name)
-		}
-		return nil
-	}); err != nil {
-		return nil, false, err
-	}
-
-	if err := r.stage("scale-weights", func(ctx context.Context) error {
-		if cfg.TargetYield > 0 {
-			p.Faults.ScaleToYield(cfg.TargetYield)
-		}
-		p.Yield = p.Faults.Yield()
-		reg.Gauge("pipeline_yield").Set(p.Yield)
-		return nil
-	}); err != nil {
-		return nil, false, err
-	}
-
-	if err := r.stage("transistor-map", func(ctx context.Context) error {
-		p.Circuit = transistor.FromLayout(p.Layout)
-		return p.Circuit.Validate()
-	}); err != nil {
-		return nil, false, err
-	}
-
-	if err := r.stage("stuckat-collapse", func(ctx context.Context) error {
-		p.StuckAt = fault.StuckAtUniverse(nl)
-		return nil
-	}); err != nil {
+	if err := r.frontEnd(nl); err != nil {
 		return nil, false, err
 	}
 
@@ -535,13 +500,7 @@ func (p *Pipeline) TCurve() coverage.Curve {
 }
 
 // Weights returns the realistic fault weights aligned with Faults.Faults.
-func (p *Pipeline) Weights() []float64 {
-	w := make([]float64, len(p.Faults.Faults))
-	for i, f := range p.Faults.Faults {
-		w[i] = f.Weight
-	}
-	return w
-}
+func (p *Pipeline) Weights() []float64 { return weightsOf(p.Faults) }
 
 // ThetaCurve returns the weighted realistic coverage curve Θ(k); with iddq
 // true, quiescent-current detections count as well (ablation ABL-2).

@@ -89,20 +89,34 @@ func FaultsObs(L *layout.Layout, stats defect.Statistics, reg *obs.Registry) *fa
 	extractBridges(L, stats, list)
 	extractOpens(L, stats, list)
 	list.SortByWeight()
-	if reg != nil {
-		var kinds [3]*obs.Counter
-		kinds[fault.KindBridge] = reg.Counter("extract_bridge_faults")
-		kinds[fault.KindOpenInput] = reg.Counter("extract_open_input_faults")
-		kinds[fault.KindOpenDriver] = reg.Counter("extract_open_driver_faults")
-		hist := reg.Histogram("extract_fault_weight", obs.ExpBuckets(1e-6, 10, 6))
-		for _, f := range list.Faults {
-			if int(f.Kind) < len(kinds) {
-				kinds[f.Kind].Inc()
-			}
-			hist.Observe(f.Weight)
-		}
-	}
+	RecordFaults(reg, list.Faults, nil)
 	return list
+}
+
+// RecordFaults records an extracted list's metrics in reg: the per-kind
+// fault counters and the weight histogram. weights, when non-nil, stands
+// in for the faults' own weights index by index — a memoized front end
+// whose list has since been yield-scaled replays its extraction-time
+// weights through it. Nil registry: no recording, no cost.
+func RecordFaults(reg *obs.Registry, faults []fault.Realistic, weights []float64) {
+	if reg == nil {
+		return
+	}
+	var kinds [3]*obs.Counter
+	kinds[fault.KindBridge] = reg.Counter("extract_bridge_faults")
+	kinds[fault.KindOpenInput] = reg.Counter("extract_open_input_faults")
+	kinds[fault.KindOpenDriver] = reg.Counter("extract_open_driver_faults")
+	hist := reg.Histogram("extract_fault_weight", obs.ExpBuckets(1e-6, 10, 6))
+	for i, f := range faults {
+		if int(f.Kind) < len(kinds) {
+			kinds[f.Kind].Inc()
+		}
+		w := f.Weight
+		if weights != nil {
+			w = weights[i]
+		}
+		hist.Observe(w)
+	}
 }
 
 // netRect is a net-tagged shape on one bridge class's layers.

@@ -213,6 +213,12 @@ func TestClusterForwardSmoke(t *testing.T) {
 			t.Fatalf("batch item %d result = %d: %s", it.Index, code, data)
 		}
 	}
+	// n0 built the c17 front end once, adopting the first result; the
+	// batch's local run and its second adoption shared it.
+	fe := n0.s.Metrics().CounterVec("pipeline_frontend_total", "outcome")
+	if h, m := fe.With("hit").Value(), fe.With("miss").Value(); h != 2 || m != 1 {
+		t.Fatalf("n0 pipeline_frontend_total hit=%d miss=%d, want 2 and 1", h, m)
+	}
 }
 
 // TestClusterPeerKillFailover kills the owning peer at the network and

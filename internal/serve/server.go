@@ -233,6 +233,13 @@ type Server struct {
 	// Replicated composition when the cluster runs with RF > 1, otherwise
 	// identical to store.
 	rstore store.Store
+	// fronts memoizes front ends across this server's jobs: every
+	// pipeline call (a local run, a store hit, a peer adoption) reads it
+	// from the job's config, so a repeated design is laid out, LVS-checked
+	// and extracted once. Per server, not per process: the retained jobs
+	// hold these artifacts anyway, and servers in one process (the
+	// in-process rings of the tests) stay independent.
+	fronts *experiments.FrontEnds
 
 	mu       sync.Mutex
 	cond     *sync.Cond // broadcast whenever queued/running change
@@ -334,6 +341,7 @@ func New(cfg Config) *Server {
 			s.rstore = rep
 		}
 	}
+	s.fronts = experiments.NewFrontEnds(s.reg)
 	s.cond = sync.NewCond(&s.mu)
 	s.mQueueDepth = s.reg.Gauge("serve_queue_depth")
 	s.mInflight = s.reg.Gauge("serve_inflight")
@@ -452,6 +460,7 @@ func (s *Server) admitLocked(sub submission) (j *job, coalesced bool, err error)
 		return live, true, nil
 	}
 	cfg.Obs = obs.New() // per-job tracer: every job gets its own run report
+	cfg.FrontEnds = s.fronts
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j = &job{
 		id:        fmt.Sprintf("job-%d", s.nextID.Add(1)),

@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"defectsim/internal/experiments"
 	"defectsim/internal/faultinject"
+	"defectsim/internal/netlist"
 )
 
 // The job-API tests exercise the server through real HTTP round trips
@@ -196,6 +198,46 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 	if s.Metrics().Counter("serve_jobs_done").Value() != 2 {
 		t.Fatalf("serve_jobs_done = %d, want 2", s.Metrics().Counter("serve_jobs_done").Value())
+	}
+}
+
+// TestFrontEndMemoAcrossJobs: the server's front-end memo serves every
+// job of a design it has seen — a fresh run under a new seed and a
+// store hit alike — and the result is the memo-less one.
+func TestFrontEndMemoAcrossJobs(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheDir: t.TempDir()})
+	var results []jobResult
+	for _, body := range []string{
+		`{"circuit":"c17","random_vectors":48,"seed":1}`,
+		`{"circuit":"c17","random_vectors":48,"seed":2}`,
+		`{"circuit":"c17","random_vectors":48,"seed":1}`, // store hit
+	} {
+		st := submitJob(t, ts, body)
+		code, data := waitResult(t, ts, st.ID)
+		if code != http.StatusOK {
+			t.Fatalf("%s: result = %d: %s", body, code, data)
+		}
+		results = append(results, decode[jobResult](t, data))
+	}
+	if !results[2].CacheHit {
+		t.Fatal("resubmission did not hit the result store")
+	}
+	fe := s.Metrics().CounterVec("pipeline_frontend_total", "outcome")
+	if h, m := fe.With("hit").Value(), fe.With("miss").Value(); h != 2 || m != 1 {
+		t.Fatalf("pipeline_frontend_total hit=%d miss=%d, want 2 and 1", h, m)
+	}
+
+	nl := netlist.C17()
+	cfg := experiments.DefaultConfig()
+	cfg.RandomVectors, cfg.Seed = 48, 2
+	ref, err := experiments.Run(nl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := results[1]; got.Yield != ref.Yield || got.Vectors != len(ref.TestSet.Patterns) ||
+		got.ThetaFinal != ref.ThetaCurve(false).Final() {
+		t.Fatalf("memo-served job: yield %v, %d vectors, Θ %v; memo-less run: %v, %d, %v",
+			got.Yield, got.Vectors, got.ThetaFinal, ref.Yield, len(ref.TestSet.Patterns), ref.ThetaCurve(false).Final())
 	}
 }
 
