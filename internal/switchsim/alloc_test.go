@@ -48,8 +48,10 @@ func TestSettleSteadyStateZeroAllocs(t *testing.T) {
 
 // TestSwappedFaultValuesZeroAllocs pins the campaign's diverged-fault
 // path: a warmed worker machine stepping one fault after another, each
-// fault's own value vector and seed memo swapped in, allocates nothing —
-// a fault owns its values, the worker owns everything the step needs.
+// fault's own value vector and seed memo swapped in, and handing its
+// staged class-table entries over after each round, allocates nothing —
+// a fault owns its values, the worker owns everything the step needs, and
+// the staging table is reused.
 func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation profile differs under -race")
@@ -61,17 +63,37 @@ func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
 	for _, v := range vecs[:4] {
 		good.Apply(v)
 	}
+	memo := newCCCMemo(c)
+	shapes := newSeedClasses(c, memo)
+	// The first three simulable faults, and the first three whose settles
+	// oscillate, so the cycle search's snapshots are stepped too.
 	var lives []*live
+	oscillating := 0
 	for i, f := range list.Faults {
-		if p, v := planFault(c, f); v == VerdictSimulate {
-			lives = append(lives, &live{idx: i, plan: p, val: append([]Val(nil), good.val...)})
+		p, v := planFault(c, f)
+		if v != VerdictSimulate {
+			continue
+		}
+		m := NewMachine(c)
+		m.install(p, BridgeG, nil)
+		osc := false
+		for _, v := range vecs {
+			osc = !m.Apply(v) || osc
+		}
+		if len(lives) < 3 || osc && oscillating < 3 {
+			lv := &live{idx: i, plan: p, val: append([]Val(nil), good.val...)}
+			lv.seeds.class = shapes.add(p, nil)
+			lives = append(lives, lv)
+			if osc {
+				oscillating++
+			}
 		}
 		if len(lives) == 6 {
 			break
 		}
 	}
 	w := &worker{m: NewMachine(c)}
-	w.m.memo = newCCCMemo(c)
+	w.m.memo, w.m.classes = memo, &seedTable{}
 	w.home = w.m.val
 	step := func() {
 		for _, lv := range lives {
@@ -79,13 +101,15 @@ func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
 				w.advance(lv, BridgeG, v, nil, nil)
 			}
 		}
+		w.m.classes.take(&w.m.fresh)
 	}
 	step()
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Fatalf("stepping %d swapped-in fault vectors allocates %v per round, want 0", len(lives), allocs)
 	}
-	if w.m.seedSolves == 0 {
-		t.Fatal("no seed solve was served from a fault's seed memo")
+	if w.m.seedSolves == 0 || w.m.classSolves == 0 || w.m.fastForwards == 0 {
+		t.Fatalf("%d seed solves from a fault's seed memo, %d from the class table, %d settles fast-forwarded; want all > 0",
+			w.m.seedSolves, w.m.classSolves, w.m.fastForwards)
 	}
 }
 

@@ -273,12 +273,22 @@ func SimulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		mSolves   = reg.CounterVec("swsim_ccc_solves", "path")
 		mTable    = mSolves.With("table")
 		mSeed     = mSolves.With("seed")
+		mClass    = mSolves.With("class")
 		mRelax    = mSolves.With("relax")
+		mForward  = reg.Counter("swsim_settle_fastforwards_total")
 		hDetectAt *obs.Histogram
 	)
 	if reg != nil {
 		hDetectAt = reg.Histogram("swsim_vectors_to_detect", obs.ExpBuckets(1, 2, 10))
 	}
+	// One CCC memo serves the whole campaign: the good machine that
+	// captures or extends the trace and every worker machine replay
+	// plan-free CCC solves from it. One class table serves every fault's
+	// seed solves, keyed by the classes interned here, once per seed.
+	memo := newCCCMemo(c)
+	classes := &seedTable{}
+	shapes := newSeedClasses(c, memo)
+	var seedClass []int32
 	var lives []*live
 	slab := make([]live, 0, len(list.Faults))
 	for i, f := range list.Faults {
@@ -297,21 +307,23 @@ func SimulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 			// fault first diverges.
 			slab = append(slab, live{idx: i, plan: plan})
 			lives = append(lives, &slab[len(slab)-1])
+			seedClass = shapes.add(plan, seedClass)
 		}
+	}
+	for _, lv := range lives {
+		n := len(lv.plan.seedCCCs)
+		lv.seeds.class, seedClass = seedClass[:n:n], seedClass[n:]
 	}
 
 	workers = par.Workers(workers)
 	if reg != nil {
 		reg.Gauge("swsim_workers").Set(float64(workers))
 	}
-	// One CCC memo serves the whole campaign: the good machine that
-	// captures or extends the trace and every worker machine replay
-	// plan-free CCC solves from it.
-	memo := newCCCMemo(c)
 	pool := make([]worker, workers)
 	for wi := range pool {
 		m := NewMachine(c)
 		m.memo = memo
+		m.classes = classes
 		pool[wi] = worker{m: m, home: m.val}
 	}
 	// finalize folds the per-worker oscillation counts and flushes the
@@ -449,11 +461,18 @@ func SimulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 				mFastPath.Add(fast)
 				mTable.Add(m.tableSolves)
 				mSeed.Add(m.seedSolves)
+				mClass.Add(m.classSolves)
 				mRelax.Add(m.relaxSolves)
-				m.tableSolves, m.seedSolves, m.relaxSolves = 0, 0, 0
+				mForward.Add(m.fastForwards)
+				m.tableSolves, m.seedSolves, m.classSolves, m.relaxSolves, m.fastForwards = 0, 0, 0, 0, 0
 			}(wi)
 		}
 		wg.Wait()
+		// The class table takes this vector's relaxations only now, so
+		// every fault stepped it against the same table.
+		for wi := range pool {
+			classes.take(&pool[wi].m.fresh)
+		}
 		keep := lives[:0]
 		for li, lv := range lives {
 			switch {
@@ -475,11 +494,11 @@ func SimulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 }
 
 // live is one not-yet-resolved fault in the campaign loop. It owns only
-// its node values, its strike count and its seed memo: while the fault's
-// state equals the good machine's (val == nil, the clean flag) it owns no
-// values at all and steps on its worker's home vector; its first
-// divergence (or failed settle) hands it that vector, and it hands a
-// vector back when it re-converges or drops.
+// its node values, its strike count and its seed memo (with its seeds'
+// classes): while the fault's state equals the good machine's (val ==
+// nil, the clean flag) it owns no values at all and steps on its worker's
+// home vector; its first divergence (or failed settle) hands it that
+// vector, and it hands a vector back when it re-converges or drops.
 type live struct {
 	idx     int
 	plan    *faultPlan

@@ -1,6 +1,8 @@
 package switchsim
 
 import (
+	"encoding/binary"
+	"math"
 	"math/bits"
 	"slices"
 	"sync/atomic"
@@ -137,20 +139,25 @@ func (m *Machine) solveTable(t *memoCCC, id int, changed []int) []int {
 	return changed
 }
 
-// seedMemoCap is the capacity of a fault's seed-group table. A fault
-// re-solves few distinct seed states: on the c432-class campaign 78% of
-// seed solves hit a 16-entry table, 82% a 32-entry one.
-const seedMemoCap = 16
+// seedMemoCap is the capacity of a fault's own seed-group table, the
+// first level in front of the campaign's class table: it catches a fault's
+// repeats within one vector, before the table holds them. On the
+// c432-class campaign 4 entries leave 34 244 relaxations, against 34 241
+// at 16 and 40 723 at 1.
+const seedMemoCap = 4
 
 // Seed keys and results. A key packs 2 bits per key net into its low
-// seedKeyBits bits and the seed's index in the plan's seedCCCs above them;
-// a result flags the own nets the solve changes in bits 32.. and holds
-// their new values in bits 2i..2i+1. Groups with wider keys, more own nets
-// or more seeds relax every time.
+// seedKeyBits bits and, in a fault's own table, the seed's index in the
+// plan's seedCCCs above them; a result flags the own nets the solve
+// changes in bits 32.. and holds their new values in bits 2i..2i+1, which
+// leaves bits seedClassShift.. free for the class table's tag. Groups with
+// wider keys, more own nets or more seeds relax every time.
 const (
 	seedKeyBits     = 58
 	seedMaxOwn      = 16
 	seedChangeShift = 32
+	seedClassShift  = seedChangeShift + seedMaxOwn
+	seedMaxClasses  = 1<<(64-seedClassShift) - 1
 )
 
 // seedMemo is one fault's table of seed-group relaxations: the CCCs
@@ -159,16 +166,21 @@ const (
 // and replayed when the key recurs. A fault's plan and the campaign's
 // bridge conductance are fixed, so a seed group's relaxation is a pure
 // function of the start CCC and the values of the nets it reads. The
-// table is private to the fault and cleared when full, so which solves
-// hit depends only on that fault's own history — never on scheduling.
+// table is private to the fault and overwritten round-robin (n counts
+// the stores), so which solves hit depends only on that fault's own
+// history and the class table — never on scheduling. class holds the
+// seed class of each of the plan's seeds (-1: no class).
 type seedMemo struct {
-	n    int
-	keys [seedMemoCap]uint64
-	res  [seedMemoCap]uint64
+	n     int
+	keys  [seedMemoCap]uint64
+	res   [seedMemoCap]uint64
+	class []int32
 }
 
 // solveSeed is solveCCC for seed CCC id (entry si of the plan's seedCCCs)
-// on a machine carrying the fault's seed memo.
+// on a machine carrying the fault's seed memo: the fault's own table
+// first, then the campaign's class table, then the relaxation, whose
+// result is staged for the class table.
 func (m *Machine) solveSeed(si, id int, changed []int) []int {
 	group := m.seedGroup(id)
 	key, ok := m.seedKey(group)
@@ -176,20 +188,31 @@ func (m *Machine) solveSeed(si, id int, changed []int) []int {
 		m.relaxSolves++
 		return m.relaxCCC(id, changed)
 	}
-	key |= uint64(si) << seedKeyBits
 	sm := m.seeds
-	for i, k := range sm.keys[:sm.n] {
-		if k == key {
+	own := key | uint64(si)<<seedKeyBits
+	for i, k := range sm.keys[:min(sm.n, seedMemoCap)] {
+		if k == own {
 			m.seedSolves++
 			return m.replaySeed(group, sm.res[i], changed)
 		}
 	}
-	m.relaxSolves++
-	changed = m.relaxCCC(id, changed)
-	if sm.n == seedMemoCap {
-		sm.n = 0
+	cls := int32(-1)
+	if si < len(sm.class) {
+		cls = sm.class[si]
 	}
-	sm.keys[sm.n], sm.res[sm.n] = key, m.seedResult(group, key)
+	res, hit := m.classes.get(cls, key)
+	if hit {
+		m.classSolves++
+		changed = m.replaySeed(group, res, changed)
+	} else {
+		m.relaxSolves++
+		changed = m.relaxCCC(id, changed)
+		res = m.seedResult(group, key)
+		if cls >= 0 {
+			m.fresh.put(cls, key, res)
+		}
+	}
+	sm.keys[sm.n%seedMemoCap], sm.res[sm.n%seedMemoCap] = own, res
 	sm.n++
 	return changed
 }
@@ -285,4 +308,242 @@ func (m *Machine) replaySeed(group []int, res uint64, changed []int) []int {
 		}
 	}
 	return changed
+}
+
+// Net references in a seed class's shape: the top byte says how the
+// relaxation reads the net, the rest is a level, a local node index or a
+// key slot.
+const (
+	refRail  = 1 << 24 // a rail: the low bit is its level
+	refLocal = 2 << 24 // a node of the group: its index in relaxation order
+	refSlot  = 3 << 24 // a net read by value: its position in the seed key
+)
+
+// seedShape appends to sig the shape of the relaxation solveSeed runs
+// from seed CCC id under the installed plan: everything relaxCCC reads
+// besides the values seedKey packs. Per group CCC, in discovery order,
+// that is its key layout and, per device, whether the plan removes it,
+// its type, conductance and terminals; then the bridge edges in the
+// relaxation's order, duplicates included; then the forced nets with
+// their levels. A terminal read by value is named by its key slot, one
+// the relaxation wires into the group by its local index. The bridge
+// conductance is the campaign's, and the rails are constant, so two seed
+// groups of equal shape relax equal keys to equal results whatever
+// instances they sit in. ok is false when the group has no key.
+func (m *Machine) seedShape(id int, sig []byte) ([]byte, bool) {
+	group := m.seedGroup(id)
+	if _, ok := m.seedKey(group); !ok {
+		return sig, false
+	}
+	put := func(words ...uint32) {
+		for _, w := range words {
+			sig = binary.LittleEndian.AppendUint32(sig, w)
+		}
+	}
+	// The group's nodes get their relaxation-order indices in the arena's
+	// localIdx, as in relaxCCC, and give them back at the end.
+	m.ensureScratch()
+	local := m.scr.localIdx
+	nodes := 0
+	for _, g := range group {
+		for _, n := range m.c.CCCs[g] {
+			local[n] = int32(nodes)
+			nodes++
+		}
+	}
+	defer func() {
+		for _, g := range group {
+			for _, n := range m.c.CCCs[g] {
+				local[n] = -1
+			}
+		}
+	}()
+	rail := func(n int) (uint32, bool) {
+		switch n {
+		case layout.NetGND:
+			return refRail | uint32(V0), true
+		case layout.NetVDD:
+			return refRail | uint32(V1), true
+		}
+		return 0, false
+	}
+	put(uint32(len(group)))
+	base := 0
+	for _, g := range group {
+		t := &m.memo.cccs[g]
+		devs := m.c.DevsOf[g]
+		put(uint32(t.own), uint32(len(t.in)), uint32(len(devs)))
+		byValue := func(n int) uint32 {
+			if r, ok := rail(n); ok {
+				return r
+			}
+			return refSlot | uint32(base+slices.Index(t.in, int32(n)))
+		}
+		channel := func(n int) uint32 {
+			if i := local[n]; i >= 0 {
+				return refLocal | uint32(i)
+			}
+			return byValue(n)
+		}
+		for _, di := range devs {
+			if m.plan.isRemoved(di) {
+				put(0)
+				continue
+			}
+			d := &m.c.Devices[di]
+			gb := math.Float64bits(d.Conductance)
+			put(1+uint32(d.Type), uint32(gb), uint32(gb>>32), byValue(d.Gate), channel(d.Source), channel(d.Drain))
+		}
+		base += len(t.in)
+	}
+	for _, g := range group {
+		brs := m.plan.extraFor(g)
+		put(uint32(len(brs)))
+		for _, br := range brs {
+			for _, n := range br {
+				if i := local[n]; i >= 0 {
+					put(refLocal | uint32(i))
+				} else if r, ok := rail(n); ok {
+					put(r)
+				} else {
+					put(refSlot | uint32(base))
+					base++
+				}
+			}
+		}
+	}
+	for _, f := range m.plan.forced {
+		if i := local[f.net]; i >= 0 {
+			put(refLocal|uint32(i), uint32(f.v))
+		}
+	}
+	return sig, true
+}
+
+// seedClasses interns the seed classes of one campaign: one id per
+// distinct seedShape, in first-seen order.
+type seedClasses struct {
+	m   *Machine // carries the campaign's CCC memo; plans are installed on it in turn
+	ids map[string]int32
+	sig []byte
+}
+
+// newSeedClasses returns an empty interner of seed classes over c and
+// its campaign's memo.
+func newSeedClasses(c *transistor.Circuit, memo *cccMemo) *seedClasses {
+	sc := &seedClasses{m: NewMachine(c), ids: map[string]int32{}}
+	sc.m.memo = memo
+	return sc
+}
+
+// add appends the class of each of plan's seeds to out: -1 for a group
+// without a key, or once seedMaxClasses classes exist.
+func (sc *seedClasses) add(plan *faultPlan, out []int32) []int32 {
+	sc.m.install(plan, 0, nil)
+	for _, id := range plan.seedCCCs {
+		var ok bool
+		if sc.sig, ok = sc.m.seedShape(id, sc.sig[:0]); !ok {
+			out = append(out, -1)
+			continue
+		}
+		cls, seen := sc.ids[string(sc.sig)]
+		if !seen {
+			cls = -1
+			if len(sc.ids) < seedMaxClasses {
+				cls = int32(len(sc.ids))
+				sc.ids[string(sc.sig)] = cls
+			}
+		}
+		out = append(out, cls)
+	}
+	return out
+}
+
+// seedTable is a campaign's class table: the seed relaxations of every
+// fault, stored under (class, key) and replayed for any fault of the
+// class that reaches the key. Workers only read it while they step a
+// vector; the relaxations they run go to their machine's own staging
+// table (Machine.fresh), and SimulateFaults moves those into the class
+// table between vectors, so which solves hit never depends on worker
+// count or scheduling. Open addressing with linear probing; an entry
+// leaves only by take.
+type seedTable struct {
+	slots []seedSlot // a power of two long, or empty
+	shift uint       // 64 - log2(len(slots))
+	n     int
+}
+
+// seedSlot is one class-table entry: the seed key, and the seed result
+// tagged with the class id + 1 in bits seedClassShift.. (res 0: empty).
+type seedSlot struct{ key, res uint64 }
+
+const seedTagMask = ^uint64(1<<seedClassShift - 1)
+
+func (t *seedTable) home(key, tag uint64) int {
+	return int((key ^ tag) * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// get returns the result stored for key in class cls (nil table or
+// cls < 0: none).
+func (t *seedTable) get(cls int32, key uint64) (uint64, bool) {
+	if t == nil || cls < 0 || t.n == 0 {
+		return 0, false
+	}
+	tag := uint64(cls+1) << seedClassShift
+	mask := len(t.slots) - 1
+	for i := t.home(key, tag); ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s.res == 0 {
+			return 0, false
+		}
+		if s.key == key && s.res&seedTagMask == tag {
+			return s.res &^ tag, true
+		}
+	}
+}
+
+// put stores result res for key in class cls unless the table holds that
+// (class, key) already: two relaxations of one class and key agree.
+func (t *seedTable) put(cls int32, key, res uint64) {
+	t.insert(seedSlot{key, res | uint64(cls+1)<<seedClassShift})
+}
+
+func (t *seedTable) insert(s seedSlot) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		old := t.slots
+		size := max(64, 2*len(old))
+		t.slots, t.shift, t.n = make([]seedSlot, size), uint(64-bits.TrailingZeros(uint(size))), 0
+		for _, o := range old {
+			if o.res != 0 {
+				t.insert(o)
+			}
+		}
+	}
+	tag := s.res & seedTagMask
+	mask := len(t.slots) - 1
+	for i := t.home(s.key, tag); ; i = (i + 1) & mask {
+		switch e := t.slots[i]; {
+		case e.res == 0:
+			t.slots[i] = s
+			t.n++
+			return
+		case e.key == s.key && e.res&seedTagMask == tag:
+			return
+		}
+	}
+}
+
+// take moves every entry of from into t and leaves from empty, its slots
+// kept for the next vector.
+func (t *seedTable) take(from *seedTable) {
+	if from.n == 0 {
+		return
+	}
+	for i, s := range from.slots {
+		if s.res != 0 {
+			t.insert(s)
+			from.slots[i] = seedSlot{}
+		}
+	}
+	from.n = 0
 }

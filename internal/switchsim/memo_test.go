@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"defectsim/internal/fault"
 	"defectsim/internal/layout"
 	"defectsim/internal/netlist"
 	"defectsim/internal/obs"
@@ -113,12 +114,14 @@ func TestMemoTableMatchesRelaxation(t *testing.T) {
 	}
 }
 
-// TestCCCSolveCountsWorkerInvariant pins swsim_ccc_solves: "table"
-// counts the solves eligible for the shared table (not its hits), "seed"
-// the seed solves a fault's own seed memo served and "relax" every real
-// relaxation. A seed memo is private to its fault, so all three counts
-// are the same for any worker count and with a captured or a given trace,
-// and a campaign serves most solves from the tables.
+// TestCCCSolveCountsWorkerInvariant pins swsim_ccc_solves and
+// swsim_settle_fastforwards_total: "table" counts the solves eligible for
+// the shared table (not its hits), "seed" the seed solves a fault's own
+// seed memo served, "class" those the class table served and "relax"
+// every real relaxation. A seed memo is private to its fault and the
+// class table changes only between vectors, so every count is the same
+// for any worker count and with a captured or a given trace, and a
+// campaign serves most solves from the tables.
 func TestCCCSolveCountsWorkerInvariant(t *testing.T) {
 	nl := wideStages()
 	list, c := buildCampaign(t, nl)
@@ -127,7 +130,7 @@ func TestCCCSolveCountsWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := func(workers int, traced bool) [3]int64 {
+	counts := func(workers int, traced bool) [5]int64 {
 		reg := obs.NewRegistry()
 		tr := trace
 		if !traced {
@@ -137,39 +140,80 @@ func TestCCCSolveCountsWorkerInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := reg.CounterVec("swsim_ccc_solves", "path")
-		return [3]int64{v.With("table").Value(), v.With("seed").Value(), v.With("relax").Value()}
+		return [5]int64{v.With("table").Value(), v.With("seed").Value(), v.With("class").Value(), v.With("relax").Value(),
+			reg.Counter("swsim_settle_fastforwards_total").Value()}
 	}
 	want := counts(1, false)
-	if table, seed, relax := want[0], want[1], want[2]; seed == 0 || relax == 0 || table <= relax {
-		t.Fatalf("swsim_ccc_solves: table %d, seed %d, relax %d; want all > 0 and table > relax", table, seed, relax)
+	if table, seed, class, relax := want[0], want[1], want[2], want[3]; seed == 0 || class == 0 || relax == 0 || table <= relax {
+		t.Fatalf("swsim_ccc_solves: table %d, seed %d, class %d, relax %d; want all > 0 and table > relax", table, seed, class, relax)
 	}
 	for _, w := range []int{4, 0} {
 		for _, traced := range []bool{false, true} {
 			if got := counts(w, traced); got != want {
-				t.Fatalf("workers=%d traced=%v: table/seed/relax %v, want %v", w, traced, got, want)
+				t.Fatalf("workers=%d traced=%v: table/seed/class/relax/fast-forwards %v, want %v", w, traced, got, want)
 			}
 		}
 	}
+	t.Logf("table %d, seed %d, class %d, relax %d solves; %d settles fast-forwarded", want[0], want[1], want[2], want[3], want[4])
 }
 
-// seedOracle walks one fault's campaign trajectory on a plain machine and
-// checks every seed-group solve against the seed-memo path of a campaign
-// machine.
-type seedOracle struct {
-	t         *testing.T
-	ref, memo *Machine
-	got       []int
-	hits      int // seed solves served from an entry filled in another state
-	checks    int
+// walkHooks are what walkFault calls on its way: settle before each
+// settle, solve and solved around each seed-CCC solve (the machine in the
+// state before, then after it), and stuck when a settle runs out of
+// budget, the queue still holding what is pending. Any may be nil.
+type walkHooks struct {
+	settle       func()
+	solve        func(si, id int)
+	solved       func(si, id int, changed []int)
+	stuck        func()
+	stuckSettles int // settles that ran out of budget
 }
 
-// settle is Machine.settle on the plain machine, checking each seed solve.
-func (o *seedOracle) settle() bool {
-	m := o.ref
+// walkFault steps the fault installed on the plain machine m along its
+// campaign trajectory over vecs: the clean fast path while its state
+// equals the good machine's, full applies once it diverges, until it is
+// detected or strikes out. Every settle is stepped plainly: one
+// relaxation per popped CCC, no cycle search, within settle's budget.
+func walkFault(m *Machine, trace *GoodTrace, vecs []Vector, h *walkHooks) {
+	m.ensureScratch()
+	clean, strikes := true, 0
+	for k, vec := range vecs {
+		if trace.UnsettledAt == k+1 {
+			return
+		}
+		goodPrev, goodPost := trace.States[k], trace.States[k+1]
+		if clean {
+			m.scheduleFromGood(goodPost, goodPrev, false)
+		} else {
+			m.schedule(vec)
+		}
+		if !h.step(m) {
+			clean = false
+			if strikes++; strikes >= oscStrikeLimit {
+				return
+			}
+			continue
+		}
+		if detects(m.c, goodPost, m.val) {
+			return
+		}
+		clean = equalVals(m.val, goodPost)
+	}
+}
+
+// step is one plainly stepped settle of walkFault.
+func (h *walkHooks) step(m *Machine) bool {
+	if h.settle != nil {
+		h.settle()
+	}
 	budget := 8*len(m.c.CCCs) + 64
 	var changed []int
 	for m.qhead < len(m.queue) {
 		if budget == 0 {
+			h.stuckSettles++
+			if h.stuck != nil {
+				h.stuck()
+			}
 			m.queue, m.qhead = m.queue[:0], 0
 			clear(m.inQueue)
 			return false
@@ -179,15 +223,12 @@ func (o *seedOracle) settle() bool {
 		m.qhead++
 		m.inQueue[id] = false
 		si := m.plan.seedIndex(id)
-		if si >= 0 {
-			o.solveMemo(si, id)
+		if si >= 0 && h.solve != nil {
+			h.solve(si, id)
 		}
 		changed = m.relaxCCC(id, changed[:0])
-		if si >= 0 {
-			if !slices.Equal(o.got, changed) || !slices.Equal(o.memo.val, m.val) {
-				o.t.Fatalf("%s: seed CCC %d: memo changed %v, relaxation changed %v (states equal: %v)",
-					m.c.Name, id, o.got, changed, slices.Equal(o.memo.val, m.val))
-			}
+		if si >= 0 && h.solved != nil {
+			h.solved(si, id, changed)
 		}
 		for _, net := range changed {
 			m.pushReaders(net)
@@ -197,93 +238,215 @@ func (o *seedOracle) settle() bool {
 	return true
 }
 
-// solveMemo runs the memo path from the plain machine's current state,
+// oracleFaults lists the plans of c's simulable faults.
+func oracleFaults(c *transistor.Circuit, list *fault.List) []*faultPlan {
+	var plans []*faultPlan
+	for _, f := range list.Faults {
+		if p, v := planFault(c, f); v == VerdictSimulate {
+			plans = append(plans, p)
+		}
+	}
+	return plans
+}
+
+// oracleSetup is one oracle circuit's campaign inputs: its fault plans,
+// vectors, good trace and CCC memo.
+type oracleSetup struct {
+	name  string
+	c     *transistor.Circuit
+	plans []*faultPlan
+	vecs  []Vector
+	trace *GoodTrace
+	memo  *cccMemo
+}
+
+// oracleSetups builds the oracle circuits' campaigns over at most 24
+// random vectors; under -race it leaves out the random circuit, whose
+// thousands of faults relax every solve of the plain walk.
+func oracleSetups(t *testing.T) []oracleSetup {
+	var out []oracleSetup
+	for _, oc := range oracleCircuits() {
+		if raceEnabled && oc.nl.Name == "random" {
+			continue
+		}
+		list, c := buildCampaign(t, oc.nl)
+		vecs := randomVectors(len(oc.nl.PIs), min(oc.vectors, 24), 11)
+		trace, err := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, oracleSetup{oc.nl.Name, c, oracleFaults(c, list), vecs, trace, newCCCMemo(c)})
+	}
+	return out
+}
+
+// seedOracle checks every seed-group solve of a walk against the seed
+// memo and class table path of a campaign machine.
+type seedOracle struct {
+	t         *testing.T
+	ref, memo *Machine
+	got       []int
+	hits      int // seed solves served from the fault's memo, filled in another state
+	classHits int // seed solves served from the class table
+	checks    int
+}
+
+// solve runs the memo path from the plain machine's current state,
 // twice when the first solve filled a new entry, so the result checked is
 // always a replay.
-func (o *seedOracle) solveMemo(si, id int) {
+func (o *seedOracle) solve(si, id int) {
 	for try := 0; try < 2; try++ {
 		copy(o.memo.val, o.ref.val)
-		seed, relax := o.memo.seedSolves, o.memo.relaxSolves
+		seed, class, relax := o.memo.seedSolves, o.memo.classSolves, o.memo.relaxSolves
 		o.got = o.memo.solveCCC(id, o.got[:0])
 		switch {
-		case o.memo.seedSolves > seed:
+		case o.memo.seedSolves > seed || o.memo.classSolves > class:
 			o.checks++
-			if try == 0 {
+			if o.memo.classSolves > class {
+				o.classHits++
+			} else if try == 0 {
 				o.hits++
 			}
 			return
 		case o.memo.relaxSolves == relax:
-			o.t.Fatalf("seed CCC %d: solve took neither the seed memo nor the relaxation", id)
+			o.t.Fatalf("seed CCC %d: solve took neither a table nor the relaxation", id)
 		}
 	}
 	o.t.Fatalf("seed CCC %d: a freshly filled key missed on replay", id)
 }
 
-// TestSeedMemoMatchesRelaxation is the oracle for the per-fault seed
-// memo: for every simulable fault of the oracle circuits, every seed-group
-// solve on the fault's campaign trajectory (the clean fast path until it
-// diverges, full applies after) is replayed from a campaign machine's seed
-// memo — filled first when the key is new — and must equal relaxCCC on a
-// plain machine in the same state, in new values and changed-net order,
-// at the hard and a weak bridge conductance. Entries filled in one state
-// and replayed in another check that the key holds every net the
-// relaxation reads.
+// solved compares the replay with the relaxation that just ran.
+func (o *seedOracle) solved(si, id int, changed []int) {
+	if !slices.Equal(o.got, changed) || !slices.Equal(o.memo.val, o.ref.val) {
+		o.t.Fatalf("%s: seed CCC %d: memo changed %v, relaxation changed %v (states equal: %v)",
+			o.ref.c.Name, id, o.got, changed, slices.Equal(o.memo.val, o.ref.val))
+	}
+}
+
+// TestSeedMemoMatchesRelaxation is the oracle for the per-fault seed memo
+// and the class table: for every simulable fault of the oracle circuits,
+// every seed-group solve on the fault's campaign trajectory (the clean
+// fast path until it diverges, full applies after) is replayed from a
+// campaign machine's seed memo or class table — filled first when the key
+// is new — and must equal relaxCCC on a plain machine in the same state,
+// in new values and changed-net order, at the hard and a weak bridge
+// conductance. The class table takes each fault's relaxations once its
+// walk ends, so a class hit replays an entry another fault filled; memo
+// entries filled in one state and replayed in another check that the key
+// holds every net the relaxation reads.
 func TestSeedMemoMatchesRelaxation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("one goroutine, nothing to race; the plain tier runs it (~40 s under -race)")
 	}
-	for _, oc := range oracleCircuits() {
-		nl := oc.nl
-		list, c := buildCampaign(t, nl)
-		vecs := randomVectors(len(nl.PIs), min(oc.vectors, 24), 11)
-		trace, err := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		memo := newCCCMemo(c)
+	for _, s := range oracleSetups(t) {
 		for _, g := range []float64{BridgeG, 1.5} {
-			hits, checks := 0, 0
-			for _, f := range list.Faults {
-				plan, v := planFault(c, f)
-				if v != VerdictSimulate {
-					continue
-				}
-				o := &seedOracle{t: t, ref: NewMachine(c), memo: NewMachine(c)}
+			shapes := newSeedClasses(s.c, s.memo)
+			classes := &seedTable{}
+			hits, classHits, checks := 0, 0, 0
+			for _, plan := range s.plans {
+				o := &seedOracle{t: t, ref: NewMachine(s.c), memo: NewMachine(s.c)}
 				o.ref.install(plan, g, nil)
-				o.ref.ensureScratch()
-				o.memo.memo = memo
-				o.memo.install(plan, g, new(seedMemo))
+				o.memo.memo = s.memo
+				o.memo.classes = classes
+				o.memo.install(plan, g, &seedMemo{class: shapes.add(plan, nil)})
 				o.memo.ensureScratch()
-				clean, strikes := true, 0
-				for k, vec := range vecs {
-					if trace.UnsettledAt == k+1 {
-						break
-					}
-					goodPrev, goodPost := trace.States[k], trace.States[k+1]
-					if clean {
-						o.ref.scheduleFromGood(goodPost, goodPrev, false)
-					} else {
-						o.ref.schedule(vec)
-					}
-					if !o.settle() {
-						clean = false
-						if strikes++; strikes >= oscStrikeLimit {
-							break
-						}
-						continue
-					}
-					if detects(c, goodPost, o.ref.val) {
-						break
-					}
-					clean = equalVals(o.ref.val, goodPost)
-				}
+				walkFault(o.ref, s.trace, s.vecs, &walkHooks{solve: o.solve, solved: o.solved})
+				classes.take(&o.memo.fresh)
 				hits += o.hits
+				classHits += o.classHits
 				checks += o.checks
 			}
-			if hits == 0 {
-				t.Fatalf("%s g=%g: no seed solve replayed an entry filled in another state", nl.Name, g)
+			if hits == 0 || classHits == 0 {
+				t.Fatalf("%s g=%g: %d memo replays of entries filled in another state, %d class replays; want both > 0",
+					s.name, g, hits, classHits)
 			}
-			t.Logf("%s g=%g: %d seed replays checked, %d from entries filled in another state", nl.Name, g, checks, hits)
+			t.Logf("%s g=%g: %d seed replays checked, %d from the fault's memo filled in another state, %d from the class table",
+				s.name, g, checks, hits, classHits)
+		}
+	}
+}
+
+// TestSeedClassMatchesRelaxation is the cross-fault oracle for seed
+// classes: along every simulable fault's campaign trajectory, each seed
+// relaxation is stored under its (class, key) the first time any fault
+// reaches it, and every other fault of the class that reaches a state
+// with that key replays the stored result onto its own nets. The replay
+// must equal relaxCCC on the plain machine in that state, in new values
+// and changed-net order, at the hard and a weak bridge conductance.
+func TestSeedClassMatchesRelaxation(t *testing.T) {
+	type classKey struct {
+		cls int32
+		key uint64
+	}
+	type entry struct {
+		plan int
+		res  uint64
+	}
+	for _, s := range oracleSetups(t) {
+		for _, g := range []float64{BridgeG, 1.5} {
+			shapes := newSeedClasses(s.c, s.memo)
+			table := map[classKey]entry{}
+			checks, members := 0, map[int32]int{}
+			for pi, plan := range s.plans {
+				ref, rep := NewMachine(s.c), NewMachine(s.c)
+				ref.memo, rep.memo = s.memo, s.memo
+				ref.install(plan, g, nil)
+				rep.install(plan, g, nil)
+				class := shapes.add(plan, nil)
+				for _, cls := range class {
+					if cls >= 0 {
+						members[cls]++
+					}
+				}
+				var (
+					ck           classKey
+					have, replay bool
+					got          []int
+				)
+				h := &walkHooks{
+					solve: func(si, id int) {
+						key, ok := ref.seedKey(ref.seedGroup(id))
+						ck, have = classKey{class[si], key}, ok && class[si] >= 0
+						replay = false
+						if !have {
+							return
+						}
+						if e, ok := table[ck]; ok && e.plan != pi {
+							copy(rep.val, ref.val)
+							got = rep.replaySeed(rep.seedGroup(id), e.res, got[:0])
+							replay = true
+						}
+					},
+					solved: func(si, id int, changed []int) {
+						if !have {
+							return
+						}
+						if _, ok := table[ck]; !ok {
+							table[ck] = entry{pi, ref.seedResult(ref.seedGroup(id), ck.key)}
+						}
+						if !replay {
+							return
+						}
+						checks++
+						if !slices.Equal(got, changed) || !slices.Equal(rep.val, ref.val) {
+							t.Fatalf("%s g=%g: seed CCC %d (class %d): class entry changed %v, relaxation changed %v (states equal: %v)",
+								s.name, g, id, ck.cls, got, changed, slices.Equal(rep.val, ref.val))
+						}
+					},
+				}
+				walkFault(ref, s.trace, s.vecs, h)
+			}
+			shared := 0
+			for _, n := range members {
+				if n > 1 {
+					shared++
+				}
+			}
+			if checks == 0 {
+				t.Fatalf("%s g=%g: no fault replayed another fault's class entry", s.name, g)
+			}
+			t.Logf("%s g=%g: %d classes (%d with several seeds), %d entries, %d cross-fault replays checked",
+				s.name, g, len(members), shared, len(table), checks)
 		}
 	}
 }
@@ -365,6 +528,187 @@ func FuzzSeedGroupMemo(f *testing.F) {
 		if !slices.Equal(got, want) || !slices.Equal(m.val, ref.val) {
 			t.Fatalf("CCC %d: memo changed %v, relaxation changed %v (states equal: %v)",
 				id, got, want, slices.Equal(m.val, ref.val))
+		}
+	})
+}
+
+// TestSeedShapeSeparatesRelaxationInputs pins the two class components
+// no generated circuit varies apart from the others — which nets a plan
+// forces (only trunk opens force a net, and they also remove every device
+// on it) and device conductance (equal for every device of a type and
+// stack position in the library) — so the class oracles above cannot see
+// them go missing. relaxCCC reads both, so the class must change with
+// either.
+func TestSeedShapeSeparatesRelaxationInputs(t *testing.T) {
+	list, c := buildCampaign(t, netlist.C17())
+	memo := newCCCMemo(c)
+	shape := func(c *transistor.Circuit, p *faultPlan, si int) string {
+		m := NewMachine(c)
+		m.memo = memo
+		m.install(p, BridgeG, nil)
+		sig, ok := m.seedShape(p.seedCCCs[si], nil)
+		if !ok {
+			t.Fatal("seed group without a key")
+		}
+		return string(sig)
+	}
+	for _, plan := range oracleFaults(c, list) {
+		if len(plan.forced) == 0 {
+			continue
+		}
+		si := plan.seedIndex(c.CCCOf[plan.forced[0].net])
+		if si < 0 {
+			continue
+		}
+		unforced := *plan
+		unforced.forced = nil
+		resized := *c
+		resized.Devices = slices.Clone(c.Devices)
+		for _, di := range c.DevsOf[plan.seedCCCs[si]] {
+			if !plan.isRemoved(di) {
+				resized.Devices[di].Conductance *= 2
+				break
+			}
+		}
+		base := shape(c, plan, si)
+		if shape(c, &unforced, si) == base {
+			t.Error("dropping the forced net leaves the seed class unchanged")
+		}
+		if shape(&resized, plan, si) == base {
+			t.Error("resizing a device leaves the seed class unchanged")
+		}
+		return
+	}
+	t.Fatal("no fault forces a net inside its seed group")
+}
+
+// setSeedKey writes key's values onto the nets seedKey packs for group,
+// in seedKey's order.
+func setSeedKey(m *Machine, group []int, key uint64) {
+	shift := 0
+	set := func(n int) {
+		m.val[n] = Val(key>>shift) & 3
+		shift += 2
+	}
+	for _, g := range group {
+		for _, n := range m.memo.cccs[g].in {
+			set(int(n))
+		}
+	}
+	for _, g := range group {
+		for _, br := range m.plan.extraFor(g) {
+			for _, n := range br {
+				if m.cccOfNet(n) < 0 && n != layout.NetGND && n != layout.NetVDD {
+					set(n)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSeedClass checks class sharing on fuzzer-chosen states: a generated
+// circuit, one of its seed classes and two seeds of that class, usually
+// of different faults, each in a random state, the two carrying one key
+// on their own nets. The first relaxes and its entry goes to a class
+// table; the second must be served from that entry and equal relaxCCC
+// there on a plain machine, bit for bit, at the hard or a weak bridge
+// conductance.
+func FuzzSeedClass(f *testing.F) {
+	type member struct {
+		plan  *faultPlan
+		class []int32
+		si    int
+	}
+	type setup struct {
+		c       *transistor.Circuit
+		memo    *cccMemo
+		classes [][]member // classes with at least two seeds
+	}
+	var setups []setup
+	for _, nl := range []*netlist.Netlist{
+		netlist.C17(), netlist.RippleAdder(3), netlist.MuxTree(2), netlist.Decoder(2), wideStages(),
+		netlist.RandomCircuit("random", 7, 8, 3, 24),
+	} {
+		list, c := buildCampaign(f, nl)
+		s := setup{c: c, memo: newCCCMemo(c)}
+		shapes := newSeedClasses(c, s.memo)
+		var byClass [][]member
+		for _, plan := range oracleFaults(c, list) {
+			class := shapes.add(plan, nil)
+			for si, cls := range class {
+				if cls < 0 {
+					continue
+				}
+				for int(cls) >= len(byClass) {
+					byClass = append(byClass, nil)
+				}
+				byClass[cls] = append(byClass[cls], member{plan, class, si})
+			}
+		}
+		for _, ms := range byClass {
+			if len(ms) > 1 {
+				s.classes = append(s.classes, ms)
+			}
+		}
+		setups = append(setups, s)
+	}
+	f.Add(uint8(0), uint16(0), uint16(0), uint16(1), int64(1), false)
+	f.Add(uint8(1), uint16(7), uint16(3), uint16(40), int64(2), true)
+	f.Add(uint8(4), uint16(30), uint16(1), uint16(2), int64(3), false)
+	f.Fuzz(func(t *testing.T, ci uint8, k, a, b uint16, seed int64, weak bool) {
+		s := setups[int(ci)%len(setups)]
+		ms := s.classes[int(k)%len(s.classes)]
+		ai := int(a) % len(ms)
+		ma, mb := ms[ai], ms[(ai+1+int(b)%(len(ms)-1))%len(ms)]
+		g := BridgeG
+		if weak {
+			g = 1.5
+		}
+		rng := rand.New(rand.NewSource(seed))
+		table := &seedTable{}
+		machine := func(mm member) *Machine {
+			m := NewMachine(s.c)
+			m.memo, m.classes = s.memo, table
+			m.install(mm.plan, g, &seedMemo{class: mm.class})
+			m.ensureScratch()
+			for n := range m.val {
+				if n != layout.NetGND && n != layout.NetVDD {
+					m.val[n] = Val(rng.Intn(3))
+				}
+			}
+			return m
+		}
+		fill, m := machine(ma), machine(mb)
+		idA, idB := ma.plan.seedCCCs[ma.si], mb.plan.seedCCCs[mb.si]
+		key, _ := fill.seedKey(fill.seedGroup(idA))
+		setSeedKey(m, m.seedGroup(idB), key)
+		if k, _ := m.seedKey(m.seedGroup(idB)); k != key {
+			// The second seed reads one net where the first reads two:
+			// give the first the second's values.
+			setSeedKey(fill, fill.seedGroup(idA), k)
+			if ka, _ := fill.seedKey(fill.seedGroup(idA)); ka != k {
+				t.Skip("the seeds read different nets twice")
+			}
+			key = k
+		}
+		fill.solveCCC(idA, nil)
+		if fill.relaxSolves != 1 || fill.fresh.n != 1 {
+			t.Fatalf("first solve of a class key: %d relaxations, %d staged entries; want 1 and 1", fill.relaxSolves, fill.fresh.n)
+		}
+		table.take(&fill.fresh)
+
+		ref := NewMachine(s.c)
+		ref.install(mb.plan, g, nil)
+		ref.ensureScratch()
+		copy(ref.val, m.val)
+		got := m.solveCCC(idB, nil)
+		want := ref.relaxCCC(idB, nil)
+		if m.classSolves != 1 {
+			t.Fatalf("CCC %d: replay of a class key missed the class table", idB)
+		}
+		if !slices.Equal(got, want) || !slices.Equal(m.val, ref.val) {
+			t.Fatalf("CCC %d: class entry changed %v, relaxation changed %v (states equal: %v)",
+				idB, got, want, slices.Equal(m.val, ref.val))
 		}
 	})
 }

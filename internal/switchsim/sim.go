@@ -27,13 +27,16 @@
 // values. Inside a fault campaign most solves skip the relaxation
 // altogether: a CCC the installed fault leaves alone is a pure function of
 // at most eight 0/1/X nets, so the campaign's CCC memo (memo.go) relaxes
-// each such state once and replays it from a table, and each fault keeps a
-// small table of its own seed-group relaxations — both bitwise identical
-// to the relaxation.
+// each such state once and replays it from a table; the CCCs hosting a
+// fault relax once per state for every fault of the same shape, replayed
+// from the campaign's class table and each fault's small table of its own
+// recent solves — all bitwise identical to the relaxation. A settle that
+// cycles skips whole periods of its budget (drain).
 package switchsim
 
 import (
 	"fmt"
+	"slices"
 
 	"defectsim/internal/cell"
 	"defectsim/internal/layout"
@@ -212,6 +215,10 @@ type solveScratch struct {
 	m0, m1   []float64
 	changed  []int // settle's reusable changed-net buffer
 	seeds    []int // solveSeed's group worklist
+	// snapVal and snapQueue hold the state drain's cycle search compares
+	// against: the values and the pending queue at the last snapshot.
+	snapVal   []Val
+	snapQueue []int
 	// touched accumulates every net an Apply/ApplyFromGood call may have
 	// left different from its starting state (seeded, pinned, or changed
 	// by a solve; duplicates allowed). The campaign's clean check compares
@@ -246,13 +253,20 @@ type Machine struct {
 	// accumulate every changed net of a budget-length settle for nothing.
 	track bool
 
-	// memo is the campaign's shared CCC table and seeds the installed
-	// fault's seed-group table (both nil on plain machines, which always
-	// relax). tableSolves, seedSolves and relaxSolves count the solves each
-	// path took; the campaign loop drains them into swsim_ccc_solves.
-	memo                                 *cccMemo
-	seeds                                *seedMemo
-	tableSolves, seedSolves, relaxSolves int64
+	// memo is the campaign's shared CCC table, seeds the installed fault's
+	// seed-group table and classes the campaign's class table, read-only
+	// while the machine steps (all nil on plain machines, which always
+	// relax); fresh stages the class-table entries this machine's
+	// relaxations produced until the campaign takes them. tableSolves,
+	// seedSolves, classSolves and relaxSolves count the solves each path
+	// took and fastForwards the settles that skipped whole periods; the
+	// campaign loop drains them into its metrics.
+	memo                                              *cccMemo
+	seeds                                             *seedMemo
+	classes                                           *seedTable
+	fresh                                             seedTable
+	tableSolves, seedSolves, classSolves, relaxSolves int64
+	fastForwards                                      int64
 
 	scr solveScratch
 }
@@ -746,18 +760,53 @@ func (m *Machine) pushReaders(net int) {
 	}
 }
 
-// settle drains the event queue to a fixpoint, with a budget bounding
-// bridge-induced oscillation.
+// settle drains the event queue to a fixpoint, with a budget of
+// 8·NumCCCs + 64 solves bounding bridge-induced oscillation; on running
+// out it drops what is still queued and returns false.
 func (m *Machine) settle() bool {
-	budget := 8*len(m.c.CCCs) + 64
+	if m.drain(8*len(m.c.CCCs) + 64) {
+		return true
+	}
+	m.queue = m.queue[:0]
+	m.qhead = 0
+	clear(m.inQueue)
+	return false
+}
+
+// drain pops and solves queued CCCs until the queue is empty (true) or
+// budget solves are spent (false, the queue left as it stands).
+//
+// The machine's next state is a function of its values and its pending
+// queue alone, and there are finitely many, so a settle that never drains
+// is eventually periodic. Once 2·NumCCCs solves are spent — converging
+// settles rarely get that far — drain runs Brent's cycle search on that
+// exact state: a snapshot retaken whenever the solves since the last one
+// reach a power of two, and compared, queue length first, before every
+// solve. The first repeat gives the period, and the remaining budget
+// drops by whole periods: the solves it skips would lead back to the
+// state they start from, so the settle ends where stepping would.
+func (m *Machine) drain(budget int) bool {
+	watch := budget - 2*len(m.c.CCCs) // the cycle search runs from here down
+	power, lam := 0, 0                // Brent: snapshot spacing, solves since it
 	scratch := m.scr.changed
 	for m.qhead < len(m.queue) {
-		if budget == 0 {
-			m.queue = m.queue[:0]
-			m.qhead = 0
-			for i := range m.inQueue {
-				m.inQueue[i] = false
+		if budget <= watch {
+			switch {
+			case power == 0:
+				m.snapshot()
+				power = 1
+			case m.atSnapshot():
+				budget %= lam
+				watch = -1
+				m.fastForwards++
+			case lam == power:
+				m.snapshot()
+				power *= 2
+				lam = 0
 			}
+			lam++
+		}
+		if budget == 0 {
 			m.scr.changed = scratch
 			return false
 		}
@@ -777,6 +826,19 @@ func (m *Machine) settle() bool {
 	m.qhead = 0
 	m.scr.changed = scratch
 	return true
+}
+
+// snapshot records the machine's values and pending queue for drain's
+// cycle search.
+func (m *Machine) snapshot() {
+	m.scr.snapVal = append(m.scr.snapVal[:0], m.val...)
+	m.scr.snapQueue = append(m.scr.snapQueue[:0], m.queue[m.qhead:]...)
+}
+
+// atSnapshot reports whether the machine is back in the snapshot's state.
+func (m *Machine) atSnapshot() bool {
+	q := m.queue[m.qhead:]
+	return len(q) == len(m.scr.snapQueue) && slices.Equal(q, m.scr.snapQueue) && slices.Equal(m.val, m.scr.snapVal)
 }
 
 func (m *Machine) allX() bool {

@@ -2,6 +2,7 @@ package switchsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"defectsim/internal/fault"
@@ -274,5 +275,54 @@ func TestTrivialVerdicts(t *testing.T) {
 		Kind: fault.KindOpenInput, NetA: -1, Inst: 99, Node: 99,
 	}); v != VerdictUndetectable {
 		t.Fatalf("no-device open verdict = %v", v)
+	}
+}
+
+// TestSettleFastForwardMatchesStepping pins drain's cycle search against
+// plain stepping: along every simulable fault's campaign trajectory on the
+// oracle circuits, at the hard and a weak bridge conductance, every settle
+// that runs out of budget when stepped one solve at a time is rerun by
+// drain from the same start state, and drain must end with the same
+// values and the same pending queue. Most such settles are periodic, so
+// most reruns skip whole periods.
+func TestSettleFastForwardMatchesStepping(t *testing.T) {
+	total := int64(0)
+	for _, s := range oracleSetups(t) {
+		for _, g := range []float64{BridgeG, 1.5} {
+			stuck, forwarded := 0, int64(0)
+			for _, plan := range s.plans {
+				ref, m := NewMachine(s.c), NewMachine(s.c)
+				ref.install(plan, g, nil)
+				m.install(plan, g, nil)
+				m.ensureScratch()
+				h := &walkHooks{
+					settle: func() {
+						copy(m.val, ref.val)
+						m.queue, m.qhead = append(m.queue[:0], ref.queue[ref.qhead:]...), 0
+						clear(m.inQueue)
+						for _, id := range m.queue {
+							m.inQueue[id] = true
+						}
+					},
+					stuck: func() {
+						if m.drain(8*len(s.c.CCCs) + 64) {
+							t.Fatalf("%s g=%g: drain settled where stepping ran out of budget", s.name, g)
+						}
+						if !slices.Equal(m.val, ref.val) || !slices.Equal(m.queue[m.qhead:], ref.queue[ref.qhead:]) {
+							t.Fatalf("%s g=%g: drain ended in another state than stepping (values equal: %v, queue %v, stepped %v)",
+								s.name, g, slices.Equal(m.val, ref.val), m.queue[m.qhead:], ref.queue[ref.qhead:])
+						}
+					},
+				}
+				walkFault(ref, s.trace, s.vecs, h)
+				stuck += h.stuckSettles
+				forwarded += m.fastForwards
+			}
+			t.Logf("%s g=%g: %d settles ran out of budget, %d of them fast-forwarded", s.name, g, stuck, forwarded)
+			total += forwarded
+		}
+	}
+	if total == 0 {
+		t.Fatal("no settle was fast-forwarded")
 	}
 }
