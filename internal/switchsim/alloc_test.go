@@ -48,10 +48,11 @@ func TestSettleSteadyStateZeroAllocs(t *testing.T) {
 
 // TestSwappedFaultValuesZeroAllocs pins the campaign's diverged-fault
 // path: a warmed worker machine stepping one fault after another, each
-// fault's own value vector and seed memo swapped in, and handing its
-// staged class-table entries over after each round, allocates nothing —
-// a fault owns its values, the worker owns everything the step needs, and
-// the staging table is reused.
+// fault's own value vector and seed memo swapped in, by the plain Apply
+// and by walking each vector's event log, and handing its staged
+// class-table entries over after each round, allocates nothing — a fault
+// owns its values, the worker owns everything the step needs, and the
+// staging table and the walk's scratch are reused.
 func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation profile differs under -race")
@@ -92,13 +93,21 @@ func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
 			break
 		}
 	}
+	trace, err := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := traceLogs(c, memo, trace, vecs)
 	w := &worker{m: NewMachine(c)}
 	w.m.memo, w.m.classes = memo, &seedTable{}
 	w.home = w.m.val
 	step := func() {
 		for _, lv := range lives {
 			for _, v := range vecs {
-				w.advance(lv, BridgeG, v, nil, nil)
+				w.advance(lv, BridgeG, v, nil, nil, &eventLog{})
+			}
+			for k, v := range vecs {
+				w.advance(lv, BridgeG, v, trace.States[k], trace.States[k+1], logs[k])
 			}
 		}
 		w.m.classes.take(&w.m.fresh)
@@ -107,9 +116,10 @@ func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Fatalf("stepping %d swapped-in fault vectors allocates %v per round, want 0", len(lives), allocs)
 	}
-	if w.m.seedSolves == 0 || w.m.classSolves == 0 || w.m.fastForwards == 0 {
-		t.Fatalf("%d seed solves from a fault's seed memo, %d from the class table, %d settles fast-forwarded; want all > 0",
-			w.m.seedSolves, w.m.classSolves, w.m.fastForwards)
+	if w.m.seedSolves == 0 || w.m.classSolves == 0 || w.m.fastForwards == 0 || w.m.replaySolves == 0 || w.m.handOvers == 0 {
+		t.Fatalf("%d seed solves from a fault's seed memo, %d from the class table, %d settles fast-forwarded, "+
+			"%d pops copied from a log, %d walks handed over; want all > 0",
+			w.m.seedSolves, w.m.classSolves, w.m.fastForwards, w.m.replaySolves, w.m.handOvers)
 	}
 }
 

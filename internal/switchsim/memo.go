@@ -182,7 +182,7 @@ type seedMemo struct {
 // first, then the campaign's class table, then the relaxation, whose
 // result is staged for the class table.
 func (m *Machine) solveSeed(si, id int, changed []int) []int {
-	group := m.seedGroup(id)
+	group := m.plan.group(si)
 	key, ok := m.seedKey(group)
 	if !ok || si >= 1<<(64-seedKeyBits) {
 		m.relaxSolves++
@@ -217,22 +217,9 @@ func (m *Machine) solveSeed(si, id int, changed []int) []int {
 	return changed
 }
 
-// seedGroup lists the CCCs relaxCCC solves together when it starts at id
-// — id, then the CCCs the plan's bridges reach, transitively — in the
-// relaxation's discovery order.
-func (m *Machine) seedGroup(id int) []int {
-	g := append(m.scr.seeds[:0], id)
-	for i := 0; i < len(g); i++ {
-		for _, br := range m.plan.extraFor(g[i]) {
-			for _, n := range br {
-				if oc := m.cccOfNet(n); oc >= 0 && !slices.Contains(g, oc) {
-					g = append(g, oc)
-				}
-			}
-		}
-	}
-	m.scr.seeds = g
-	return g
+// groupOf returns the seed group of seed CCC id under the installed plan.
+func (m *Machine) groupOf(id int) seedGroup {
+	return m.plan.group(m.plan.seedIndex(id))
 }
 
 // seedKey packs the values of every net the relaxation of group reads:
@@ -241,9 +228,9 @@ func (m *Machine) seedGroup(id int) []int {
 // nets), then the bridge endpoints outside any CCC. Rails are constant and
 // left out, as in the shared table. ok is false when the group does not
 // fit a key or a result.
-func (m *Machine) seedKey(group []int) (key uint64, ok bool) {
+func (m *Machine) seedKey(group seedGroup) (key uint64, ok bool) {
 	shift, own := 0, 0
-	for _, g := range group {
+	for _, g := range group.ids[:group.n] {
 		t := &m.memo.cccs[g]
 		if t.in == nil || shift+2*len(t.in) > seedKeyBits {
 			return 0, false
@@ -257,19 +244,11 @@ func (m *Machine) seedKey(group []int) (key uint64, ok bool) {
 	if own > seedMaxOwn {
 		return 0, false
 	}
-	for _, g := range group {
-		for _, br := range m.plan.extraFor(g) {
-			for _, n := range br {
-				if m.cccOfNet(n) >= 0 || n == layout.NetGND || n == layout.NetVDD {
-					continue
-				}
-				if shift+2 > seedKeyBits {
-					return 0, false
-				}
-				key |= uint64(m.val[n]) << shift
-				shift += 2
-			}
+	if group.end >= 0 {
+		if shift+2 > seedKeyBits {
+			return 0, false
 		}
+		key |= uint64(m.val[group.end]) << shift
 	}
 	return key, true
 }
@@ -277,10 +256,10 @@ func (m *Machine) seedKey(group []int) (key uint64, ok bool) {
 // seedResult encodes the relaxation that just ran from the state key
 // describes: the group's own nets in relaxation order, flagged where their
 // value now differs from the key's.
-func (m *Machine) seedResult(group []int, key uint64) uint64 {
+func (m *Machine) seedResult(group seedGroup, key uint64) uint64 {
 	var res uint64
 	pos, shift := 0, 0
-	for _, g := range group {
+	for _, g := range group.ids[:group.n] {
 		t := &m.memo.cccs[g]
 		for i, n := range t.in[:t.own] {
 			if nv := m.val[n]; uint64(nv) != key>>(shift+2*i)&3 {
@@ -295,9 +274,9 @@ func (m *Machine) seedResult(group []int, key uint64) uint64 {
 
 // replaySeed applies a stored seed result, appending the changed nets in
 // the order relaxCCC appends them: group CCC order, then CCC net order.
-func (m *Machine) replaySeed(group []int, res uint64, changed []int) []int {
+func (m *Machine) replaySeed(group seedGroup, res uint64, changed []int) []int {
 	pos := 0
-	for _, g := range group {
+	for _, g := range group.ids[:group.n] {
 		t := &m.memo.cccs[g]
 		for _, n := range t.in[:t.own] {
 			if res>>(seedChangeShift+pos)&1 != 0 {
@@ -331,10 +310,11 @@ const (
 // groups of equal shape relax equal keys to equal results whatever
 // instances they sit in. ok is false when the group has no key.
 func (m *Machine) seedShape(id int, sig []byte) ([]byte, bool) {
-	group := m.seedGroup(id)
-	if _, ok := m.seedKey(group); !ok {
+	sg := m.groupOf(id)
+	if _, ok := m.seedKey(sg); !ok {
 		return sig, false
 	}
+	group := sg.ids[:sg.n]
 	put := func(words ...uint32) {
 		for _, w := range words {
 			sig = binary.LittleEndian.AppendUint32(sig, w)
