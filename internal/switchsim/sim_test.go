@@ -278,11 +278,12 @@ func TestTrivialVerdicts(t *testing.T) {
 	}
 }
 
-// TestSettleFastForwardMatchesStepping pins drain's cycle search against
-// plain stepping: along every simulable fault's campaign trajectory on the
-// oracle circuits, at the hard and a weak bridge conductance, every settle
-// that runs out of budget when stepped one solve at a time is rerun by
-// drain from the same start state, and drain must end with the same
+// TestSettleFastForwardMatchesStepping pins drainTo's cycle search
+// against plain stepping: along every simulable fault's campaign
+// trajectory on the oracle circuits, at the hard and a weak bridge
+// conductance, every settle that runs out of budget when stepped one
+// solve at a time is rerun by drainTo from the same start state, with a
+// settle's budget and cycle-search start, and must end with the same
 // values and the same pending queue. Most such settles are periodic, so
 // most reruns skip whole periods.
 func TestSettleFastForwardMatchesStepping(t *testing.T) {
@@ -305,11 +306,12 @@ func TestSettleFastForwardMatchesStepping(t *testing.T) {
 						}
 					},
 					stuck: func() {
-						if m.drain(8*len(s.c.CCCs) + 64) {
-							t.Fatalf("%s g=%g: drain settled where stepping ran out of budget", s.name, g)
+						budget := m.settleBudget()
+						if m.drainTo(budget, budget-2*len(s.c.CCCs)) {
+							t.Fatalf("%s g=%g: drainTo settled where stepping ran out of budget", s.name, g)
 						}
 						if !slices.Equal(m.val, ref.val) || !slices.Equal(m.queue[m.qhead:], ref.queue[ref.qhead:]) {
-							t.Fatalf("%s g=%g: drain ended in another state than stepping (values equal: %v, queue %v, stepped %v)",
+							t.Fatalf("%s g=%g: drainTo ended in another state than stepping (values equal: %v, queue %v, stepped %v)",
 								s.name, g, slices.Equal(m.val, ref.val), m.queue[m.qhead:], ref.queue[ref.qhead:])
 						}
 					},
