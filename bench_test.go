@@ -241,7 +241,7 @@ func BenchmarkBridgeTopUp(b *testing.B) {
 	var t *experiments.BridgeTopUp
 	for i := 0; i < b.N; i++ {
 		var err error
-		t, err = experiments.RunBridgeTopUp(p, 300)
+		t, err = experiments.RunBridgeTopUp(context.Background(), p, 300)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -423,15 +423,7 @@ func BenchmarkSwitchLevelGoodSim(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := transistor.FromLayout(L)
-	vecs := make([]switchsim.Vector, 64)
-	pats := gatesim.RandomPatterns(L.Netlist, 64, 2)
-	for i, p := range pats {
-		v := make(switchsim.Vector, len(p))
-		for j, bit := range p {
-			v[j] = switchsim.Val(bit)
-		}
-		vecs[i] = v
-	}
+	vecs := switchsim.Vectors(gatesim.RandomPatterns(L.Netlist, 64, 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := switchsim.Run(c, vecs); err != nil {
@@ -539,14 +531,7 @@ func BenchmarkATPGTopUpTraced(b *testing.B) {
 // instrumented per-vector machine advance) under the given registry.
 func benchSwitchSim(b *testing.B, reg func() *obs.Registry) {
 	p := c432Pipeline(b)
-	vectors := make([]switchsim.Vector, 0, 64)
-	for _, pat := range p.TestSet.Patterns[:min(64, len(p.TestSet.Patterns))] {
-		v := make(switchsim.Vector, len(pat))
-		for j, bit := range pat {
-			v[j] = switchsim.Val(bit)
-		}
-		vectors = append(vectors, v)
-	}
+	vectors := switchsim.Vectors(p.TestSet.Patterns[:min(64, len(p.TestSet.Patterns))])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, reg(), nil); err != nil {

@@ -289,7 +289,7 @@ func main() {
 		fmt.Print(p.Summary())
 		fmt.Print(experiments.Figure4(p).Render())
 	case "topup":
-		tu, err := experiments.RunBridgeTopUp(run(cfg), 500)
+		tu, err := experiments.RunBridgeTopUp(ctx, run(cfg), 500)
 		if err != nil {
 			fatal(err)
 		}

@@ -52,11 +52,7 @@ func main() {
 	m, _ := switchsim.NewFaultMachine(p.Circuit, target)
 	good := switchsim.NewMachine(p.Circuit)
 	var datalog []gatesim.Fail
-	for k, pat := range p.TestSet.Patterns {
-		vec := make(switchsim.Vector, len(pat))
-		for j, b := range pat {
-			vec[j] = switchsim.Val(b)
-		}
+	for k, vec := range switchsim.Vectors(p.TestSet.Patterns) {
 		good.Apply(vec)
 		m.Apply(vec)
 		var pm uint64

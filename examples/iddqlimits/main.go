@@ -26,14 +26,7 @@ func main() {
 	}
 	fmt.Print(p.Summary())
 
-	vectors := make([]switchsim.Vector, len(p.TestSet.Patterns))
-	for i, pat := range p.TestSet.Patterns {
-		v := make(switchsim.Vector, len(pat))
-		for j, b := range pat {
-			v[j] = switchsim.Val(b)
-		}
-		vectors[i] = v
-	}
+	vectors := switchsim.Vectors(p.TestSet.Patterns)
 
 	model := iddq.DefaultModel()
 	meas, err := iddq.Measure(p.Circuit, p.Faults, vectors, model)

@@ -406,19 +406,14 @@ func (g *Generator) backtrace(net int, val V3) (pi int, v V3, ok bool) {
 	}
 }
 
-// Generate attempts to build a test pattern for f within the backtrack
+// GenerateCtx attempts to build a test pattern for f within the backtrack
 // limit. On success the returned pattern has X positions filled with 0.
-func (g *Generator) Generate(f fault.StuckAt, backtrackLimit int) (gatesim.Pattern, Status) {
-	return g.GenerateCtx(context.Background(), f, backtrackLimit)
-}
-
-// GenerateCtx is Generate with cancellation: the backtrack loop checks the
-// context every ctxCheckStride backtracks, so a cancelled or expired
-// context aborts the search promptly. A fault cut short by cancellation
-// reports StatusAborted — its decision tree was not exhausted, so it is
-// neither detected nor proven untestable.
+// The backtrack loop checks the context every ctxCheckStride backtracks,
+// so a cancelled or expired context aborts the search promptly. A fault
+// cut short by cancellation reports StatusAborted — its decision tree was
+// not exhausted, so it is neither detected nor proven untestable.
 func (g *Generator) GenerateCtx(ctx context.Context, f fault.StuckAt, backtrackLimit int) (gatesim.Pattern, Status) {
-	pat, status, backtracks := g.generate(ctx, f, backtrackLimit)
+	pat, status, backtracks := g.search(ctx, f, nil, backtrackLimit)
 	g.mBacktracks.Add(int64(backtracks))
 	g.mBacktracksPer.Observe(float64(backtracks))
 	switch status {
@@ -437,7 +432,13 @@ func (g *Generator) GenerateCtx(ctx context.Context, f fault.StuckAt, backtrackL
 // cancellation latency, rare enough to keep the check off the profile.
 const ctxCheckStride = 256
 
-func (g *Generator) generate(ctx context.Context, f fault.StuckAt, backtrackLimit int) (gatesim.Pattern, Status, int) {
+// search is the PODEM branch-and-bound behind every generator entry
+// point: it decides primary inputs one at a time until the fault is
+// detected with every constraint met, backtracking on a definite
+// constraint violation or a dead fault effect. A plain stuck-at test
+// passes no constraints. It returns the pattern, the status and the
+// number of backtracks made.
+func (g *Generator) search(ctx context.Context, f fault.StuckAt, constraints []Assign, backtrackLimit int) (gatesim.Pattern, Status, int) {
 	nPI := len(g.nl.PIs)
 	assign := make([]V3, nPI)
 	type decision struct {
@@ -453,7 +454,26 @@ func (g *Generator) generate(ctx context.Context, f fault.StuckAt, backtrackLimi
 
 	for {
 		g.imply(assign, f)
-		if g.detected() {
+		// Constraint handling first: a definite violation forces a
+		// backtrack; an undetermined constraint becomes the next objective.
+		violated := false
+		var objNet int
+		var objVal V3
+		haveObj := false
+		for _, c := range constraints {
+			gv := g.good[c.Net]
+			if gv == c.Value {
+				continue
+			}
+			if gv != X3 {
+				violated = true
+				break
+			}
+			if !haveObj {
+				objNet, objVal, haveObj = c.Net, c.Value, true
+			}
+		}
+		if !violated && !haveObj && g.detected() {
 			pat := make(gatesim.Pattern, nPI)
 			for i, v := range assign {
 				if v == L1 {
@@ -462,26 +482,20 @@ func (g *Generator) generate(ctx context.Context, f fault.StuckAt, backtrackLimi
 			}
 			return pat, StatusDetected, backtracks
 		}
-		// Possible? Activation: good value at the site must be able to be
-		// ¬fv; then a D-frontier with an X-path must remain.
-		feasible := true
-		siteGood := g.good[f.Net]
-		activated := siteGood != X3 && siteGood != fv
-		if siteGood == fv {
-			feasible = false
-		}
-		var objNet int
-		var objVal V3
-		haveObj := false
-		if feasible {
-			if !activated {
-				objNet, objVal, haveObj = f.Net, not3(fv), true
-				if siteGood != X3 {
-					haveObj = false // already at target; wait for frontier
-					activated = true
-				}
+
+		// Possible? Activation: the good value at the site must be able to
+		// be ¬fv; then a D-frontier with an X-path must remain.
+		feasible := !violated
+		if feasible && !haveObj {
+			siteGood := g.good[f.Net]
+			activated := siteGood != X3 && siteGood != fv
+			if siteGood == fv {
+				feasible = false
 			}
-			if activated {
+			if feasible && !activated {
+				objNet, objVal, haveObj = f.Net, not3(fv), true
+			}
+			if feasible && activated {
 				df := g.dFrontier(f)
 				if len(df) == 0 {
 					feasible = false
@@ -524,7 +538,6 @@ func (g *Generator) generate(ctx context.Context, f fault.StuckAt, backtrackLimi
 				stack = append(stack, decision{pi, false})
 				continue
 			}
-			feasible = false
 		}
 		// Backtrack.
 		for {

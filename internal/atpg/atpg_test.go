@@ -50,7 +50,7 @@ func TestGenerateDetectsAllC17Faults(t *testing.T) {
 	}
 	faults := fault.StuckAtUniverse(nl)
 	for _, f := range faults {
-		pat, status := gen.Generate(f, 1000)
+		pat, status := gen.GenerateCtx(context.Background(), f, 1000)
 		if status != StatusDetected {
 			t.Fatalf("fault %v: status %v", f, status)
 		}
@@ -76,11 +76,11 @@ func TestGenerateFindsUntestable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, status := gen.Generate(fault.StuckAt{Net: y, Branch: -1, Value: 1}, 1000); status != StatusUntestable {
+	if _, status := gen.GenerateCtx(context.Background(), fault.StuckAt{Net: y, Branch: -1, Value: 1}, 1000); status != StatusUntestable {
 		t.Fatalf("redundant fault classified %v", status)
 	}
 	// And the testable polarity still works.
-	if _, status := gen.Generate(fault.StuckAt{Net: y, Branch: -1, Value: 0}, 1000); status != StatusDetected {
+	if _, status := gen.GenerateCtx(context.Background(), fault.StuckAt{Net: y, Branch: -1, Value: 0}, 1000); status != StatusDetected {
 		t.Fatalf("y/sa0 must be testable, got %v", status)
 	}
 }
@@ -92,7 +92,7 @@ func TestGenerateXorCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range fault.StuckAtUniverse(nl) {
-		pat, status := gen.Generate(f, 5000)
+		pat, status := gen.GenerateCtx(context.Background(), f, 5000)
 		if status != StatusDetected {
 			t.Fatalf("parity fault %v: %v", f, status)
 		}

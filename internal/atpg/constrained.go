@@ -1,6 +1,8 @@
 package atpg
 
 import (
+	"context"
+
 	"defectsim/internal/fault"
 	"defectsim/internal/gatesim"
 )
@@ -18,124 +20,11 @@ type Assign struct {
 // excited exactly when the stronger net carries value s while the weaker
 // carries ¬s, whereupon the weaker net behaves as stuck-at-s; that is a
 // constrained stuck-at problem (constraint: strong net = s; target: weak
-// net stuck-at-s).
-func (g *Generator) GenerateConstrained(f fault.StuckAt, constraints []Assign, backtrackLimit int) (gatesim.Pattern, Status) {
-	nPI := len(g.nl.PIs)
-	assign := make([]V3, nPI)
-	type decision struct {
-		pi      int
-		flipped bool
-	}
-	var stack []decision
-	fv := L0
-	if f.Value == 1 {
-		fv = L1
-	}
-	backtracks := 0
-
-	for {
-		g.imply(assign, f)
-		// Constraint handling first: a definite violation forces a
-		// backtrack; an undetermined constraint becomes the next objective.
-		violated := false
-		var objNet int
-		var objVal V3
-		haveObj := false
-		for _, c := range constraints {
-			gv := g.good[c.Net]
-			if gv == c.Value {
-				continue
-			}
-			if gv != X3 {
-				violated = true
-				break
-			}
-			if !haveObj {
-				objNet, objVal, haveObj = c.Net, c.Value, true
-			}
-		}
-		if !violated && !haveObj && g.detected() {
-			pat := make(gatesim.Pattern, nPI)
-			for i, v := range assign {
-				if v == L1 {
-					pat[i] = 1
-				}
-			}
-			return pat, StatusDetected
-		}
-
-		feasible := !violated
-		if feasible && !haveObj {
-			siteGood := g.good[f.Net]
-			activated := siteGood != X3 && siteGood != fv
-			if siteGood == fv {
-				feasible = false
-			}
-			if feasible && !activated {
-				objNet, objVal, haveObj = f.Net, not3(fv), true
-			}
-			if feasible && activated {
-				df := g.dFrontier(f)
-				if len(df) == 0 {
-					feasible = false
-				} else {
-					memo := map[int]bool{}
-					found := false
-					for _, gi := range df {
-						gt := &g.nl.Gates[gi]
-						if !g.xPathToPO(gt.Out, memo) {
-							continue
-						}
-						ctrl := controlling(gt.Type)
-						for _, in := range gt.Inputs {
-							if g.good[in] == X3 {
-								objNet = in
-								if ctrl == X3 {
-									objVal = L0
-								} else {
-									objVal = not3(ctrl)
-								}
-								haveObj, found = true, true
-								break
-							}
-						}
-						if found {
-							break
-						}
-					}
-					if !found {
-						feasible = false
-					}
-				}
-			}
-		}
-		if feasible && haveObj {
-			if pi, v, ok := g.backtrace(objNet, objVal); ok && assign[pi] == X3 {
-				assign[pi] = v
-				stack = append(stack, decision{pi, false})
-				continue
-			}
-			feasible = false
-		}
-		// Backtrack.
-		for {
-			if len(stack) == 0 {
-				return nil, StatusUntestable
-			}
-			d := &stack[len(stack)-1]
-			if !d.flipped {
-				d.flipped = true
-				assign[d.pi] = not3(assign[d.pi])
-				backtracks++
-				if backtracks > backtrackLimit {
-					return nil, StatusAborted
-				}
-				break
-			}
-			assign[d.pi] = X3
-			stack = stack[:len(stack)-1]
-		}
-	}
+// net stuck-at-s). It runs GenerateCtx's search, context checks included,
+// but records no metrics.
+func (g *Generator) GenerateConstrained(ctx context.Context, f fault.StuckAt, constraints []Assign, backtrackLimit int) (gatesim.Pattern, Status) {
+	pat, status, _ := g.search(ctx, f, constraints, backtrackLimit)
+	return pat, status
 }
 
 // BridgeCandidates enumerates the constrained stuck-at problems whose
@@ -172,12 +61,13 @@ func BridgeCandidates(a, b int) []struct {
 
 // GenerateBridge tries every candidate formulation of the bridge between
 // netlist nets a and b and returns the patterns that are worth verifying
-// at switch level (deduplicated), with the per-candidate statuses.
-func (g *Generator) GenerateBridge(a, b int, backtrackLimit int) []gatesim.Pattern {
+// at switch level (deduplicated). A candidate whose search the context
+// cut short yields no pattern, so callers check the context afterwards.
+func (g *Generator) GenerateBridge(ctx context.Context, a, b int, backtrackLimit int) []gatesim.Pattern {
 	var out []gatesim.Pattern
 	seen := map[string]bool{}
 	for _, c := range BridgeCandidates(a, b) {
-		pat, status := g.GenerateConstrained(c.Fault, []Assign{c.Constraint}, backtrackLimit)
+		pat, status := g.GenerateConstrained(ctx, c.Fault, []Assign{c.Constraint}, backtrackLimit)
 		if status != StatusDetected {
 			continue
 		}

@@ -24,7 +24,7 @@ func TestGenerateConstrainedRespectsConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat, status := gen.GenerateConstrained(
+	pat, status := gen.GenerateConstrained(context.Background(),
 		fault.StuckAt{Net: a, Branch: -1, Value: 0},
 		[]Assign{{Net: b, Value: L1}}, 1000)
 	if status != StatusDetected {
@@ -46,7 +46,7 @@ func TestGenerateConstrainedInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, status := gen.GenerateConstrained(
+	if _, status := gen.GenerateConstrained(context.Background(),
 		fault.StuckAt{Net: a, Branch: -1, Value: 0},
 		[]Assign{{Net: a, Value: L0}}, 1000); status != StatusUntestable {
 		t.Fatalf("contradictory constraint must be untestable, got %v", status)
@@ -68,7 +68,7 @@ func TestGenerateConstrainedInternalNets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat, status := gen.GenerateConstrained(
+	pat, status := gen.GenerateConstrained(context.Background(),
 		fault.StuckAt{Net: z, Branch: -1, Value: 0},
 		[]Assign{{Net: y, Value: L1}}, 1000)
 	if status != StatusDetected {
@@ -97,8 +97,8 @@ func TestGenerateConstrainedMatchesUnconstrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range fault.StuckAtUniverse(nl) {
-		_, s1 := gen.Generate(f, 1000)
-		_, s2 := gen.GenerateConstrained(f, nil, 1000)
+		_, s1 := gen.GenerateCtx(context.Background(), f, 1000)
+		_, s2 := gen.GenerateConstrained(context.Background(), f, nil, 1000)
 		if s1 != s2 {
 			t.Fatalf("fault %v: plain %v vs constrained %v", f, s1, s2)
 		}
@@ -141,7 +141,7 @@ func TestGenerateBridgeOnC17(t *testing.T) {
 	}
 	g10, _ := nl.NetByName("G10")
 	g19, _ := nl.NetByName("G19")
-	pats := gen.GenerateBridge(g10, g19, 1000)
+	pats := gen.GenerateBridge(context.Background(), g10, g19, 1000)
 	if len(pats) == 0 {
 		t.Fatal("expected at least one candidate pattern")
 	}

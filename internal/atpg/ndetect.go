@@ -43,7 +43,8 @@ type NDetectSet struct {
 	Untestable []bool
 	// Saturated marks testable faults the top-up could not push to N
 	// detections: the generator found no further distinct detecting
-	// vector (exhausted or aborted search).
+	// vector (exhausted search, or aborted at the backtrack limit; a
+	// search cut by cancellation saturates nothing).
 	Saturated []bool
 	// Incomplete marks a set whose top-up stopped early on cancellation
 	// or budget expiry.
@@ -98,8 +99,10 @@ func (s *NDetectSet) Coverage(excludeUntestable bool) float64 {
 // with one primary input constrained to the opposite value, scanning PIs
 // until a fresh detecting vector appears. untestable carries prior
 // knowledge from the base build (nil means none). The context is checked
-// between faults; when it ends mid-build the partial set is returned
-// marked Incomplete together with the context's error.
+// between faults, between PI flips and inside every search; when it ends
+// mid-build the partial set is returned marked Incomplete together with
+// the context's error, and the fault whose search it cut is not marked
+// Saturated.
 func BuildNDetectTestSet(ctx context.Context, nl *netlist.Netlist, faults []fault.StuckAt, base []gatesim.Pattern, untestable []bool, n, backtrackLimit, workers int, tr *obs.Tracer) (*NDetectSet, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("atpg: n-detect requires n >= 1, got %d", n)
@@ -171,7 +174,8 @@ func BuildNDetectTestSet(ctx context.Context, nl *netlist.Netlist, faults []faul
 	}
 
 	// freshPattern searches for a detecting vector for f not yet in the
-	// set: plain generation first, then PI-flip constrained re-runs.
+	// set: plain generation first, then PI-flip constrained re-runs until
+	// one succeeds or the context ends.
 	freshPattern := func(f fault.StuckAt) (gatesim.Pattern, Status) {
 		pat, status := gen.GenerateCtx(ctx, f, backtrackLimit)
 		if status != StatusDetected {
@@ -181,11 +185,14 @@ func BuildNDetectTestSet(ctx context.Context, nl *netlist.Netlist, faults []faul
 			return pat, StatusDetected
 		}
 		for p, pi := range nl.PIs {
+			if ctx.Err() != nil {
+				break
+			}
 			want := L1
 			if pat[p] != 0 {
 				want = L0
 			}
-			cpat, cst := gen.GenerateConstrained(f, []Assign{{Net: pi, Value: want}}, backtrackLimit)
+			cpat, cst := gen.GenerateConstrained(ctx, f, []Assign{{Net: pi, Value: want}}, backtrackLimit)
 			if cst == StatusDetected && !seen[string(cpat)] {
 				return cpat, StatusDetected
 			}
@@ -216,6 +223,12 @@ func BuildNDetectTestSet(ctx context.Context, nl *netlist.Netlist, faults []faul
 				break
 			}
 			if status != StatusDetected {
+				// A search cut by cancellation proves nothing: the
+				// fault is left unsaturated in an Incomplete set.
+				if err := ctx.Err(); err != nil {
+					s.Incomplete = true
+					return s, err
+				}
 				s.Saturated[i] = true
 				mSaturated.Inc()
 				break

@@ -164,7 +164,7 @@ func TestTopUpAndDiagnosisUseSharedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBridgeTopUp(p, 8); err != nil {
+	if _, err := RunBridgeTopUp(context.Background(), p, 8); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RunDiagnosisStudy(p, 16, 5); err != nil {

@@ -41,14 +41,7 @@ func RunMaxwellAitken(p *Pipeline) (*MaxwellAitkenStudy, error) {
 	}
 	st.CompactVectors = len(compacted)
 
-	vectors := make([]switchsim.Vector, len(compacted))
-	for i, pat := range compacted {
-		v := make(switchsim.Vector, len(pat))
-		for j, b := range pat {
-			v[j] = switchsim.Val(b)
-		}
-		vectors[i] = v
-	}
+	vectors := switchsim.Vectors(compacted)
 	res, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, nil, nil)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"defectsim/internal/atpg"
@@ -109,15 +110,7 @@ func RunNDetectStudy(ctx context.Context, p *Pipeline, maxN int) (*NDetectStudy,
 			// Re-score the realistic faults under the grown set. The shared
 			// good trace covers the base-vector prefix; the campaign
 			// extends a copy of it over the appended vectors.
-			vectors := make([]switchsim.Vector, len(patterns))
-			copy(vectors, baseVectors[:min(len(baseVectors), len(patterns))])
-			for i := len(baseVectors); i < len(patterns); i++ {
-				v := make(switchsim.Vector, len(patterns[i]))
-				for j, b := range patterns[i] {
-					v[j] = switchsim.Val(b)
-				}
-				vectors[i] = v
-			}
+			vectors := append(slices.Clip(baseVectors), switchsim.Vectors(patterns[len(baseVectors):])...)
 			res, _, err := switchsim.SimulateFaults(ctx, p.Circuit, p.Faults, vectors,
 				p.Config.Workers, switchsim.BridgeG, reg, trace)
 			if err != nil {

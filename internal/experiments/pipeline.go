@@ -206,14 +206,7 @@ func (p *Pipeline) Vectors() []switchsim.Vector {
 
 func (p *Pipeline) vectorsLocked() []switchsim.Vector {
 	if p.vectors == nil {
-		p.vectors = make([]switchsim.Vector, len(p.TestSet.Patterns))
-		for i, pat := range p.TestSet.Patterns {
-			v := make(switchsim.Vector, len(pat))
-			for j, b := range pat {
-				v[j] = switchsim.Val(b)
-			}
-			p.vectors[i] = v
-		}
+		p.vectors = switchsim.Vectors(p.TestSet.Patterns)
 	}
 	return p.vectors
 }

@@ -30,8 +30,10 @@ type BridgeTopUp struct {
 
 // RunBridgeTopUp attacks up to maxTargets of the heaviest undetected
 // bridges and re-scores the whole campaign with the verified vectors
-// appended.
-func RunBridgeTopUp(p *Pipeline, maxTargets int) (*BridgeTopUp, error) {
+// appended. The context reaches every constrained search, the good trace
+// and the re-score campaign; when it ends the study stops and returns the
+// context's error.
+func RunBridgeTopUp(ctx context.Context, p *Pipeline, maxTargets int) (*BridgeTopUp, error) {
 	t := &BridgeTopUp{}
 	t.ThetaBefore = p.ThetaCurve(false).Final()
 	t.ResidualBefore = dlmodel.Params{R: 1, ThetaMax: t.ThetaBefore}.ResidualDL(p.Yield)
@@ -71,13 +73,12 @@ func RunBridgeTopUp(p *Pipeline, maxTargets int) (*BridgeTopUp, error) {
 	seen := map[string]bool{}
 	var extra []switchsim.Vector
 	for _, tg := range targets {
-		pats := gen.GenerateBridge(tg.na, tg.nb, p.Config.BacktrackLimit)
+		pats := gen.GenerateBridge(ctx, tg.na, tg.nb, p.Config.BacktrackLimit)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		t.Generated += len(pats)
-		for _, pat := range pats {
-			vec := make(switchsim.Vector, len(pat))
-			for j, bbit := range pat {
-				vec[j] = switchsim.Val(bbit)
-			}
+		for _, vec := range switchsim.Vectors(pats) {
 			// Switch-level verification with the true drive strengths.
 			m, verdict := switchsim.NewFaultMachine(p.Circuit, p.Faults.Faults[tg.idx])
 			if verdict != switchsim.VerdictSimulate {
@@ -121,11 +122,11 @@ func RunBridgeTopUp(p *Pipeline, maxTargets int) (*BridgeTopUp, error) {
 	vectors := make([]switchsim.Vector, 0, len(base)+len(extra))
 	vectors = append(vectors, base...)
 	vectors = append(vectors, extra...)
-	trace, err := p.GoodTrace(context.Background())
+	trace, err := p.GoodTrace(ctx)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, vectors,
+	res, _, err := switchsim.SimulateFaults(ctx, p.Circuit, p.Faults, vectors,
 		p.Config.Workers, switchsim.BridgeG, p.Config.Obs.Metrics(), trace)
 	if err != nil {
 		return nil, err

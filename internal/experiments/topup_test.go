@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -16,7 +18,7 @@ func TestBridgeTopUpRaisesTheta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := RunBridgeTopUp(p, 200)
+	tu, err := RunBridgeTopUp(context.Background(), p, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestBridgeTopUpVoltageOnlyAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := RunBridgeTopUp(p, 200)
+	tu, err := RunBridgeTopUp(context.Background(), p, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestBridgeTopUpNoTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := RunBridgeTopUp(p, 0) // zero budget: no targets at all
+	tu, err := RunBridgeTopUp(context.Background(), p, 0) // zero budget: no targets at all
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,5 +108,22 @@ func TestBridgeTopUpNoTargets(t *testing.T) {
 	}
 	if tu.ThetaAfter != tu.ThetaBefore {
 		t.Fatal("Θ must be unchanged")
+	}
+}
+
+// TestBridgeTopUpCancelled: the study stops on a cancelled context and
+// returns its error, instead of running every target and the re-score
+// campaign to the end.
+func TestBridgeTopUpCancelled(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RandomVectors = 8
+	p, err := Run(netlist.Comparator(5), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if tu, err := RunBridgeTopUp(ctx, p, 200); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled top-up returned %+v, %v; want context.Canceled", tu, err)
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"slices"
 
 	"defectsim/internal/cell"
+	"defectsim/internal/gatesim"
 	"defectsim/internal/layout"
 	"defectsim/internal/transistor"
 )
@@ -85,6 +86,20 @@ func series(a, b float64) float64 {
 // Vector is one input pattern: a 0/1 value per primary input, in netlist PI
 // order.
 type Vector []Val
+
+// Vectors converts gate-level test patterns into switch-level vectors, one
+// per pattern, in order.
+func Vectors(pats []gatesim.Pattern) []Vector {
+	out := make([]Vector, len(pats))
+	for i, p := range pats {
+		v := make(Vector, len(p))
+		for j, b := range p {
+			v[j] = Val(b)
+		}
+		out[i] = v
+	}
+	return out
+}
 
 // conduction state of a device under current gate values.
 type conduction uint8
