@@ -115,10 +115,17 @@ type simulator struct {
 	vals  []uint64 // scratch, indexed by net
 }
 
-func newSimulator(nl *netlist.Netlist) (*simulator, error) {
+// newSimulator levelizes nl and checks that every pattern has one bit per
+// primary input.
+func newSimulator(nl *netlist.Netlist, patterns []Pattern) (*simulator, error) {
 	order, _, err := nl.Levelize()
 	if err != nil {
 		return nil, err
+	}
+	for _, p := range patterns {
+		if len(p) != len(nl.PIs) {
+			return nil, fmt.Errorf("gatesim: pattern has %d bits, want %d", len(p), len(nl.PIs))
+		}
 	}
 	return &simulator{nl: nl, order: order, vals: make([]uint64, nl.NumNets())}, nil
 }
@@ -192,6 +199,43 @@ type blockState struct {
 	base    int // index of the block's first pattern
 	goodPO  []uint64
 	goodAll []uint64
+}
+
+// newBlockState allocates the block buffers for s's netlist.
+func (s *simulator) newBlockState() *blockState {
+	return &blockState{
+		piWords: make([]uint64, len(s.nl.PIs)),
+		goodPO:  make([]uint64, len(s.nl.POs)),
+		goodAll: make([]uint64, len(s.vals)),
+	}
+}
+
+// load packs the block of up to 64 patterns starting at base into bs
+// (pattern b sets bit b of each PI word) and evaluates the fault-free
+// machine on it.
+func (s *simulator) load(bs *blockState, patterns []Pattern, base int) {
+	block := patterns[base:]
+	if len(block) > 64 {
+		block = block[:64]
+	}
+	clear(bs.piWords)
+	for b, p := range block {
+		for i, bit := range p {
+			if bit != 0 {
+				bs.piWords[i] |= 1 << uint(b)
+			}
+		}
+	}
+	bs.mask = ^uint64(0)
+	if len(block) < 64 {
+		bs.mask = (1 << uint(len(block))) - 1
+	}
+	bs.nBlock, bs.base = len(block), base
+	vals := s.eval(bs.piWords, nil)
+	copy(bs.goodAll, vals)
+	for i, po := range s.nl.POs {
+		bs.goodPO[i] = vals[po]
+	}
 }
 
 // simShard runs one worker's strided share of the live list against the
@@ -306,14 +350,9 @@ func SimulateFaultsNCtx(ctx context.Context, nl *netlist.Netlist, faults []fault
 // simulateFaults is the shared engine; need == 0 selects first-detection
 // mode, need >= 1 counting mode (see simShard).
 func simulateFaults(ctx context.Context, nl *netlist.Netlist, faults []fault.StuckAt, patterns []Pattern, need, workers int, reg *obs.Registry) (*Result, error) {
-	sim, err := newSimulator(nl)
+	sim, err := newSimulator(nl, patterns)
 	if err != nil {
 		return nil, err
-	}
-	for _, p := range patterns {
-		if len(p) != len(nl.PIs) {
-			return nil, fmt.Errorf("gatesim: pattern has %d bits, want %d", len(p), len(nl.PIs))
-		}
 	}
 	res := &Result{DetectedAt: make([]int, len(faults))}
 	if need > 0 {
@@ -330,9 +369,7 @@ func simulateFaults(ctx context.Context, nl *netlist.Netlist, faults []fault.Stu
 	sims := make([]*simulator, 1, maxWorkers)
 	sims[0] = sim
 
-	goodPO := make([]uint64, len(nl.POs))
-	goodAll := make([]uint64, nl.NumNets())
-	piWords := make([]uint64, len(nl.PIs))
+	bs := sim.newBlockState()
 	drop := make([]bool, len(faults))
 	counters := make([]shardCounters, maxWorkers)
 
@@ -355,34 +392,7 @@ func simulateFaults(ctx context.Context, nl *netlist.Netlist, faults []fault.Stu
 			return res, err
 		}
 		nBlocks++
-		block := patterns[base:]
-		if len(block) > 64 {
-			block = block[:64]
-		}
-		for i := range piWords {
-			piWords[i] = 0
-		}
-		for b, p := range block {
-			for i, bit := range p {
-				if bit != 0 {
-					piWords[i] |= 1 << uint(b)
-				}
-			}
-		}
-		mask := ^uint64(0)
-		if len(block) < 64 {
-			mask = (1 << uint(len(block))) - 1
-		}
-
-		vals := sim.eval(piWords, nil)
-		copy(goodAll, vals)
-		for i, po := range nl.POs {
-			goodPO[i] = vals[po]
-		}
-		bs := &blockState{
-			piWords: piWords, mask: mask, nBlock: len(block), base: base,
-			goodPO: goodPO, goodAll: goodAll,
-		}
+		sim.load(bs, patterns, base)
 
 		// Shard the live list; small blocks collapse to fewer workers (and
 		// to the in-line serial path at one) without changing results.
@@ -423,7 +433,7 @@ func simulateFaults(ctx context.Context, nl *netlist.Netlist, faults []fault.Stu
 			keep = append(keep, fi)
 		}
 		live = keep
-		res.VectorsApplied = base + len(block)
+		res.VectorsApplied = base + bs.nBlock
 	}
 	// A campaign that ran to here covered the whole set: either every
 	// block was simulated, or the live list emptied early and the skipped

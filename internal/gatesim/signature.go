@@ -22,63 +22,34 @@ func Signatures(nl *netlist.Netlist, faults []fault.StuckAt, patterns []Pattern)
 	if len(nl.POs) > 64 {
 		return nil, fmt.Errorf("gatesim: signature masks support ≤ 64 POs, circuit has %d", len(nl.POs))
 	}
-	sim, err := newSimulator(nl)
+	sim, err := newSimulator(nl, patterns)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range patterns {
-		if len(p) != len(nl.PIs) {
-			return nil, fmt.Errorf("gatesim: pattern has %d bits, want %d", len(p), len(nl.PIs))
-		}
-	}
 	sigs := make([][]Fail, len(faults))
-	goodPO := make([]uint64, len(nl.POs))
-	goodAll := make([]uint64, nl.NumNets())
-	piWords := make([]uint64, len(nl.PIs))
+	bs := sim.newBlockState()
 
 	for base := 0; base < len(patterns); base += 64 {
-		block := patterns[base:]
-		if len(block) > 64 {
-			block = block[:64]
-		}
-		for i := range piWords {
-			piWords[i] = 0
-		}
-		for b, p := range block {
-			for i, bit := range p {
-				if bit != 0 {
-					piWords[i] |= 1 << uint(b)
-				}
-			}
-		}
-		mask := ^uint64(0)
-		if len(block) < 64 {
-			mask = (1 << uint(len(block))) - 1
-		}
-		vals := sim.eval(piWords, nil)
-		copy(goodAll, vals)
-		for i, po := range nl.POs {
-			goodPO[i] = vals[po]
-		}
+		sim.load(bs, patterns, base)
 		for fi := range faults {
 			f := &faults[fi]
-			site := goodAll[f.Net]
+			site := bs.goodAll[f.Net]
 			want := uint64(0)
 			if f.Value == 1 {
 				want = ^uint64(0)
 			}
-			if (site^want)&mask == 0 {
+			if (site^want)&bs.mask == 0 {
 				continue // never activated in this block
 			}
-			fv := sim.eval(piWords, f)
+			fv := sim.eval(bs.piWords, f)
 			// Per-vector PO failure masks.
 			var anyDiff uint64
 			poDiff := make([]uint64, len(nl.POs))
 			for i, po := range nl.POs {
-				poDiff[i] = (fv[po] ^ goodPO[i]) & mask
+				poDiff[i] = (fv[po] ^ bs.goodPO[i]) & bs.mask
 				anyDiff |= poDiff[i]
 			}
-			for b := 0; anyDiff != 0 && b < len(block); b++ {
+			for b := 0; anyDiff != 0 && b < bs.nBlock; b++ {
 				bit := uint64(1) << uint(b)
 				if anyDiff&bit == 0 {
 					continue

@@ -1,8 +1,6 @@
 package gatesim
 
 import (
-	"fmt"
-
 	"defectsim/internal/fault"
 	"defectsim/internal/netlist"
 )
@@ -34,14 +32,9 @@ import (
 // len(patterns); every capture index is ≤ that bound by construction, and
 // Coverage(k) clamps against it like any other campaign result.
 func SimulateTransitions(nl *netlist.Netlist, saFaults []fault.StuckAt, patterns []Pattern) (*Result, error) {
-	sim, err := newSimulator(nl)
+	sim, err := newSimulator(nl, patterns)
 	if err != nil {
 		return nil, err
-	}
-	for _, p := range patterns {
-		if len(p) != len(nl.PIs) {
-			return nil, fmt.Errorf("gatesim: pattern has %d bits, want %d", len(p), len(nl.PIs))
-		}
 	}
 	res := &Result{DetectedAt: make([]int, len(saFaults))}
 	live := make([]int, 0, len(saFaults))
@@ -49,9 +42,7 @@ func SimulateTransitions(nl *netlist.Netlist, saFaults []fault.StuckAt, patterns
 		live = append(live, i)
 	}
 
-	goodPO := make([]uint64, len(nl.POs))
-	goodAll := make([]uint64, nl.NumNets())
-	piWords := make([]uint64, len(nl.PIs))
+	bs := sim.newBlockState()
 	// prevBit[i] = 1 when fault i's site carried the slow (stuck) value on
 	// the last pattern of the previous block; undefined before the first
 	// pattern (no launch possible at k = 1).
@@ -59,31 +50,7 @@ func SimulateTransitions(nl *netlist.Netlist, saFaults []fault.StuckAt, patterns
 	havePrev := false
 
 	for base := 0; base < len(patterns) && len(live) > 0; base += 64 {
-		block := patterns[base:]
-		if len(block) > 64 {
-			block = block[:64]
-		}
-		for i := range piWords {
-			piWords[i] = 0
-		}
-		for b, p := range block {
-			for i, bit := range p {
-				if bit != 0 {
-					piWords[i] |= 1 << uint(b)
-				}
-			}
-		}
-		mask := ^uint64(0)
-		if len(block) < 64 {
-			mask = (1 << uint(len(block))) - 1
-		}
-
-		vals := sim.eval(piWords, nil)
-		copy(goodAll, vals)
-		for i, po := range nl.POs {
-			goodPO[i] = vals[po]
-		}
-
+		sim.load(bs, patterns, base)
 		keep := live[:0]
 		for _, fi := range live {
 			f := &saFaults[fi]
@@ -91,32 +58,32 @@ func SimulateTransitions(nl *netlist.Netlist, saFaults []fault.StuckAt, patterns
 			if f.Value == 1 {
 				want = ^uint64(0)
 			}
-			site := goodAll[f.Net]
+			site := bs.goodAll[f.Net]
 			atSlow := ^(site ^ want) // bit b: site carries the slow value on pattern base+b
 			// Launch mask: slow value on the *previous* pattern.
 			launch := atSlow << 1
 			if havePrev {
 				launch |= prevBit[fi]
 			}
-			prevBit[fi] = (atSlow >> uint(len(block)-1)) & 1
+			prevBit[fi] = (atSlow >> uint(bs.nBlock-1)) & 1
 
 			// Capture: stuck-at detection on the current pattern.
-			if (site^want)&mask == 0 {
+			if (site^want)&bs.mask == 0 {
 				// Site never leaves the slow value: no capture possible.
 				keep = append(keep, fi)
 				continue
 			}
-			fv := sim.eval(piWords, f)
+			fv := sim.eval(bs.piWords, f)
 			var diff uint64
 			for i, po := range nl.POs {
-				diff |= (fv[po] ^ goodPO[i]) & mask
+				diff |= (fv[po] ^ bs.goodPO[i]) & bs.mask
 			}
-			hit := diff & launch & mask
+			hit := diff & launch & bs.mask
 			if hit == 0 {
 				keep = append(keep, fi)
 				continue
 			}
-			for b := 0; b < len(block); b++ {
+			for b := 0; b < bs.nBlock; b++ {
 				if hit&(1<<uint(b)) != 0 {
 					res.DetectedAt[fi] = base + b + 1
 					break

@@ -2,24 +2,27 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// Labeled metric families. A vec is a family of instruments of one kind
-// sharing a name and a fixed set of label names; With resolves a concrete
-// label-value tuple to its child instrument, creating it on first use.
+// Metric families. A family is the instruments of one kind sharing a
+// name and a fixed set of label names; With resolves a concrete
+// label-value tuple to its child instrument, creating it on first use. A
+// plain instrument (Registry.Counter, Gauge, Histogram) is the one
+// unlabeled child of a family with no label names, so a name names one
+// family per kind.
 //
-// The hot-path contract matches the plain instruments: With is a locked
-// map lookup, so hot loops resolve their child handle ONCE up front and
-// observe through it lock-free afterwards — never With-per-observation.
-// Everything is nil-safe: a nil vec returns a nil child, whose methods are
+// The hot-path contract: With is a locked binary search, so hot loops
+// resolve their child handle ONCE up front and observe through it
+// lock-free afterwards — never With-per-observation. Everything is
+// nil-safe: a nil vec returns a nil child, whose methods are
 // allocation-free no-ops, so instrumented code needs no nil checks.
 
-// labelKey renders a label-value tuple into an unambiguous map key
+// labelKey renders a label-value tuple into an unambiguous child key
 // (quoting makes "a","b" distinct from "a,b").
 func labelKey(values []string) string {
 	var b strings.Builder
@@ -30,20 +33,69 @@ func labelKey(values []string) string {
 	return b.String()
 }
 
-func checkArity(name string, names, values []string) {
-	if len(values) != len(names) {
-		panic(fmt.Sprintf("obs: metric %q wants %d label values (%s), got %d",
-			name, len(names), strings.Join(names, ","), len(values)))
-	}
-}
-
-// CounterVec is a family of counters selected by label values, e.g.
+// Vec is a family of instruments of kind T selected by label values, e.g.
 // serve_requests_total{route,code}.
-type CounterVec struct {
+type Vec[T any] struct {
 	name       string
 	labelNames []string
+	bounds     []float64 // histogram families: every child's bucket bounds
+	newChild   func(bounds []float64) *T
 	mu         sync.Mutex
-	children   map[string]*Counter
+	// children is ordered by key, the order snapshots and the Prometheus
+	// encoder list series in. A slice rather than a map keeps a plain
+	// instrument's family small: every retained serving job holds its own
+	// registry.
+	children []child[T]
+}
+
+// child is one instrument of a family with its label values.
+type child[T any] struct {
+	key    string // labelKey(values)
+	values []string
+	inst   *T
+}
+
+// CounterVec is a family of counters, GaugeVec a family of gauges, and
+// HistogramVec a family of histograms whose children share the family's
+// bucket bounds (e.g. pipeline_stage_seconds{stage}).
+type (
+	CounterVec   = Vec[Counter]
+	GaugeVec     = Vec[Gauge]
+	HistogramVec = Vec[Histogram]
+)
+
+// family returns (creating if needed) the family called name in m. Label
+// names, bounds (copied and sorted) and the child constructor are fixed
+// at first creation; later calls with the same name ignore them. The
+// caller has checked r != nil.
+func family[T any](r *Registry, m map[string]*Vec[T], name string, labelNames []string, bounds []float64, newChild func([]float64) *T) *Vec[T] {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := m[name]
+	if v == nil {
+		b := append([]float64(nil), bounds...)
+		sort.Float64s(b)
+		v = &Vec[T]{
+			name:       name,
+			labelNames: append([]string(nil), labelNames...),
+			bounds:     b,
+			newChild:   newChild,
+		}
+		m[name] = v
+	}
+	return v
+}
+
+// families returns the registry's families of one kind, for a reader to
+// walk outside the registry lock (each family has its own).
+func families[T any](r *Registry, m map[string]*Vec[T]) []*Vec[T] {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]*Vec[T], 0, len(m))
+	for _, v := range m {
+		out = append(out, v)
+	}
+	return out
 }
 
 // CounterVec returns (creating if needed) the named counter family. The
@@ -53,46 +105,7 @@ func (r *Registry) CounterVec(name string, labelNames ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v := r.counterVecs[name]
-	if v == nil {
-		v = &CounterVec{
-			name:       name,
-			labelNames: append([]string(nil), labelNames...),
-			children:   map[string]*Counter{},
-		}
-		r.counterVecs[name] = v
-	}
-	return v
-}
-
-// With returns the child counter for the given label values (one per
-// label name, in declaration order), creating it on first use. The handle
-// is stable: callers cache it and increment lock-free. Nil-safe; panics
-// on label arity mismatch (a programming error).
-func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	checkArity(v.name, v.labelNames, values)
-	key := labelKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	c := v.children[key]
-	if c == nil {
-		c = &Counter{name: v.name, labels: append([]string(nil), values...)}
-		v.children[key] = c
-	}
-	return c
-}
-
-// GaugeVec is a family of gauges selected by label values.
-type GaugeVec struct {
-	name       string
-	labelNames []string
-	mu         sync.Mutex
-	children   map[string]*Gauge
+	return family(r, r.counters, name, labelNames, nil, func([]float64) *Counter { return new(Counter) })
 }
 
 // GaugeVec returns (creating if needed) the named gauge family. Nil-safe;
@@ -101,161 +114,53 @@ func (r *Registry) GaugeVec(name string, labelNames ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v := r.gaugeVecs[name]
-	if v == nil {
-		v = &GaugeVec{
-			name:       name,
-			labelNames: append([]string(nil), labelNames...),
-			children:   map[string]*Gauge{},
-		}
-		r.gaugeVecs[name] = v
-	}
-	return v
-}
-
-// With returns the child gauge for the given label values, creating it on
-// first use. Nil-safe; panics on label arity mismatch.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	checkArity(v.name, v.labelNames, values)
-	key := labelKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g := v.children[key]
-	if g == nil {
-		g = &Gauge{name: v.name, labels: append([]string(nil), values...)}
-		v.children[key] = g
-	}
-	return g
-}
-
-// HistogramVec is a family of histograms selected by label values, e.g.
-// pipeline_stage_seconds{stage}. Every child shares the family's bucket
-// bounds.
-type HistogramVec struct {
-	name       string
-	labelNames []string
-	bounds     []float64
-	mu         sync.Mutex
-	children   map[string]*Histogram
+	return family(r, r.gauges, name, labelNames, nil, func([]float64) *Gauge { return new(Gauge) })
 }
 
 // HistogramVec returns (creating if needed) the named histogram family.
-// bounds must be sorted ascending (they are sorted defensively, like
-// Registry.Histogram); bounds and label names are fixed at first creation.
-// Nil-safe.
+// bounds must be sorted ascending (they are sorted defensively); bounds
+// and label names are fixed at first creation. Nil-safe.
 func (r *Registry) HistogramVec(name string, bounds []float64, labelNames ...string) *HistogramVec {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v := r.histVecs[name]
-	if v == nil {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		v = &HistogramVec{
-			name:       name,
-			labelNames: append([]string(nil), labelNames...),
-			bounds:     b,
-			children:   map[string]*Histogram{},
-		}
-		r.histVecs[name] = v
-	}
-	return v
+	return family(r, r.hists, name, labelNames, bounds, newHistogram)
 }
 
-// With returns the child histogram for the given label values, creating
-// it on first use. Nil-safe; panics on label arity mismatch.
-func (v *HistogramVec) With(values ...string) *Histogram {
+// With returns the child for the given label values (one per label name,
+// in declaration order), creating it on first use. The handle is stable:
+// callers cache it and observe lock-free. Nil-safe; panics on label arity
+// mismatch (a programming error).
+func (v *Vec[T]) With(values ...string) *T {
 	if v == nil {
 		return nil
 	}
-	checkArity(v.name, v.labelNames, values)
+	if len(values) != len(v.labelNames) {
+		panic(fmt.Sprintf("obs: metric %q wants %d label values (%s), got %d",
+			v.name, len(v.labelNames), strings.Join(v.labelNames, ","), len(values)))
+	}
 	key := labelKey(values)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	h := v.children[key]
-	if h == nil {
-		h = &Histogram{
-			name:   v.name,
-			labels: append([]string(nil), values...),
-			bounds: v.bounds, // shared, read-only
-			counts: make([]atomic.Int64, len(v.bounds)+1),
-		}
-		v.children[key] = h
+	i, ok := slices.BinarySearchFunc(v.children, key, func(c child[T], key string) int {
+		return strings.Compare(c.key, key)
+	})
+	if !ok {
+		v.children = slices.Insert(v.children, i, child[T]{
+			key: key, values: append([]string(nil), values...), inst: v.newChild(v.bounds),
+		})
 	}
-	return h
+	return v.children[i].inst
 }
 
-// LabelNames returns the family's label names in declaration order (nil
-// on a nil vec).
-func (v *CounterVec) LabelNames() []string {
-	if v == nil {
-		return nil
-	}
-	return append([]string(nil), v.labelNames...)
-}
-
-// sortedChildren returns the vec's children with their label values,
-// ordered deterministically by label tuple — the iteration order of
-// snapshots and the Prometheus encoder.
-func (v *CounterVec) sortedChildren() []*Counter {
-	if v == nil {
-		return nil
-	}
+// each calls fn with every child's label values and instrument, in key
+// order, under the family lock: fn must not call With on the family.
+func (v *Vec[T]) each(fn func(values []string, inst *T)) {
 	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
+	defer v.mu.Unlock()
+	for _, c := range v.children {
+		fn(c.values, c.inst)
 	}
-	sort.Strings(keys)
-	out := make([]*Counter, len(keys))
-	for i, k := range keys {
-		out[i] = v.children[k]
-	}
-	v.mu.Unlock()
-	return out
-}
-
-func (v *GaugeVec) sortedChildren() []*Gauge {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Gauge, len(keys))
-	for i, k := range keys {
-		out[i] = v.children[k]
-	}
-	v.mu.Unlock()
-	return out
-}
-
-func (v *HistogramVec) sortedChildren() []*Histogram {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	keys := make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Histogram, len(keys))
-	for i, k := range keys {
-		out[i] = v.children[k]
-	}
-	v.mu.Unlock()
-	return out
 }
 
 // labelMap pairs label names with a child's values for snapshots.

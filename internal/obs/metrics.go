@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -11,52 +10,33 @@ import (
 // for the same name twice returns the same instrument, so hot loops fetch
 // a handle once and increment through it. A nil *Registry returns nil
 // handles, whose methods are allocation-free no-ops.
+//
+// The registry holds one map of families (see labels.go) per kind; a
+// plain instrument is its family's unlabeled child.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-
-	// Labeled families (see labels.go). A family name must stay unique
-	// across plain and labeled instruments of the same kind.
-	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
-	histVecs    map[string]*HistogramVec
+	counters map[string]*CounterVec
+	gauges   map[string]*GaugeVec
+	hists    map[string]*HistogramVec
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    map[string]*Counter{},
-		gauges:      map[string]*Gauge{},
-		hists:       map[string]*Histogram{},
-		counterVecs: map[string]*CounterVec{},
-		gaugeVecs:   map[string]*GaugeVec{},
-		histVecs:    map[string]*HistogramVec{},
+		counters: map[string]*CounterVec{},
+		gauges:   map[string]*GaugeVec{},
+		hists:    map[string]*HistogramVec{},
 	}
 }
 
 // Counter is a monotonically increasing atomic count.
 type Counter struct {
-	name   string
-	labels []string // label values when the counter is a vec child, else nil
-	v      atomic.Int64
+	v atomic.Int64
 }
 
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{name: name}
-		r.counters[name] = c
-	}
-	return c
-}
+// Counter returns (creating if needed) the named counter, the unlabeled
+// child of CounterVec(name). Panics if name is a labeled family.
+func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name).With() }
 
 // Add increments the counter by n. No-op on nil.
 func (c *Counter) Add(n int64) {
@@ -79,25 +59,12 @@ func (c *Counter) Value() int64 {
 
 // Gauge is an atomic last-value float (e.g. a yield, a coverage ceiling).
 type Gauge struct {
-	name   string
-	labels []string // label values when the gauge is a vec child, else nil
-	bits   atomic.Uint64
+	bits atomic.Uint64
 }
 
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
-	}
-	return g
-}
+// Gauge returns (creating if needed) the named gauge, the unlabeled child
+// of GaugeVec(name). Panics if name is a labeled family.
+func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name).With() }
 
 // Set records v as the gauge's current value. No-op on nil.
 func (g *Gauge) Set(v float64) {
@@ -119,31 +86,24 @@ func (g *Gauge) Value() float64 {
 // observations v with bounds[i-1] < v <= bounds[i] (upper-inclusive); one
 // overflow bucket holds v > bounds[len-1]. Observation is lock-free.
 type Histogram struct {
-	name   string
-	labels []string // label values when the histogram is a vec child, else nil
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1, last = overflow
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-// Histogram returns (creating if needed) the named histogram. bounds must
-// be sorted ascending; they are fixed at first creation and later calls
-// with the same name ignore the argument.
+// Histogram returns (creating if needed) the named histogram, the
+// unlabeled child of HistogramVec(name, bounds). bounds must be sorted
+// ascending; they are fixed at first creation and later calls with the
+// same name ignore the argument. Panics if name is a labeled family.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		h = &Histogram{name: name, bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-		r.hists[name] = h
-	}
-	return h
+	return r.HistogramVec(name, bounds).With()
+}
+
+// newHistogram is a histogram family's child constructor; bounds is the
+// family's, shared read-only.
+func newHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
 // Observe records one sample. No-op on nil.

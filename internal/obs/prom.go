@@ -126,43 +126,15 @@ type promFamily struct {
 	lines []string
 }
 
-// WritePrometheus writes every instrument of the registry — plain and
-// labeled — in the Prometheus text exposition format. Families are
-// ordered by (sanitized) name; a plain instrument and a labeled family
-// sharing a name and kind merge into one family (the plain sample carries
-// no labels). Safe to call concurrently with metric creation and
-// observation. A nil registry writes nothing.
+// WritePrometheus writes every instrument of the registry in the
+// Prometheus text exposition format. Families are ordered by (sanitized)
+// name; a plain instrument's sample carries no labels. Safe to call
+// concurrently with metric creation and observation. A nil registry
+// writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
-	counterVecs := make(map[string]*CounterVec, len(r.counterVecs))
-	for n, v := range r.counterVecs {
-		counterVecs[n] = v
-	}
-	gaugeVecs := make(map[string]*GaugeVec, len(r.gaugeVecs))
-	for n, v := range r.gaugeVecs {
-		gaugeVecs[n] = v
-	}
-	histVecs := make(map[string]*HistogramVec, len(r.histVecs))
-	for n, v := range r.histVecs {
-		histVecs[n] = v
-	}
-	r.mu.Unlock()
-
 	fams := map[string]*promFamily{}
 	family := func(rawName, kind string) *promFamily {
 		name := sanitizeMetricName(rawName)
@@ -174,56 +146,42 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return f
 	}
 
-	for n, c := range counters {
-		f := family(n, "counter")
-		f.lines = append(f.lines, fmt.Sprintf("%s %d", f.name, c.Value()))
-	}
-	for n, v := range counterVecs {
-		f := family(n, "counter")
-		for _, c := range v.sortedChildren() {
+	for _, v := range families(r, r.counters) {
+		f := family(v.name, "counter")
+		v.each(func(values []string, c *Counter) {
 			f.lines = append(f.lines, fmt.Sprintf("%s%s %d",
-				f.name, promLabels(v.labelNames, c.labels, ""), c.Value()))
-		}
+				f.name, promLabels(v.labelNames, values, ""), c.Value()))
+		})
 	}
-	for n, g := range gauges {
-		f := family(n, "gauge")
-		f.lines = append(f.lines, fmt.Sprintf("%s %s", f.name, formatFloat(g.Value())))
-	}
-	for n, v := range gaugeVecs {
-		f := family(n, "gauge")
-		for _, g := range v.sortedChildren() {
+	for _, v := range families(r, r.gauges) {
+		f := family(v.name, "gauge")
+		v.each(func(values []string, g *Gauge) {
 			f.lines = append(f.lines, fmt.Sprintf("%s%s %s",
-				f.name, promLabels(v.labelNames, g.labels, ""), formatFloat(g.Value())))
-		}
+				f.name, promLabels(v.labelNames, values, ""), formatFloat(g.Value())))
+		})
 	}
-	histLines := func(f *promFamily, names []string, h *Histogram) {
-		bounds, counts := h.Buckets()
-		var cum int64
-		for i, bound := range bounds {
-			cum += counts[i]
+	for _, v := range families(r, r.hists) {
+		f := family(v.name, "histogram")
+		v.each(func(values []string, h *Histogram) {
+			bounds, counts := h.Buckets()
+			var cum int64
+			for i, bound := range bounds {
+				cum += counts[i]
+				f.lines = append(f.lines, fmt.Sprintf("%s_bucket%s %d",
+					f.name, promLabels(v.labelNames, values, formatFloat(bound)), cum))
+			}
+			// The overflow bucket closes the cumulative series at +Inf. _count
+			// repeats that cumulative total (not a separate h.Count() read) so
+			// the scrape-internal invariant +Inf == _count holds even while
+			// observations land concurrently.
+			cum += counts[len(counts)-1]
 			f.lines = append(f.lines, fmt.Sprintf("%s_bucket%s %d",
-				f.name, promLabels(names, h.labels, formatFloat(bound)), cum))
-		}
-		// The overflow bucket closes the cumulative series at +Inf. _count
-		// repeats that cumulative total (not a separate h.Count() read) so
-		// the scrape-internal invariant +Inf == _count holds even while
-		// observations land concurrently.
-		cum += counts[len(counts)-1]
-		f.lines = append(f.lines, fmt.Sprintf("%s_bucket%s %d",
-			f.name, promLabels(names, h.labels, "+Inf"), cum))
-		f.lines = append(f.lines, fmt.Sprintf("%s_sum%s %s",
-			f.name, promLabels(names, h.labels, ""), formatFloat(h.Sum())))
-		f.lines = append(f.lines, fmt.Sprintf("%s_count%s %d",
-			f.name, promLabels(names, h.labels, ""), cum))
-	}
-	for n, h := range hists {
-		histLines(family(n, "histogram"), nil, h)
-	}
-	for n, v := range histVecs {
-		f := family(n, "histogram")
-		for _, h := range v.sortedChildren() {
-			histLines(f, v.labelNames, h)
-		}
+				f.name, promLabels(v.labelNames, values, "+Inf"), cum))
+			f.lines = append(f.lines, fmt.Sprintf("%s_sum%s %s",
+				f.name, promLabels(v.labelNames, values, ""), formatFloat(h.Sum())))
+			f.lines = append(f.lines, fmt.Sprintf("%s_count%s %d",
+				f.name, promLabels(v.labelNames, values, ""), cum))
+		})
 	}
 
 	names := make([]string, 0, len(fams))

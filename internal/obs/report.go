@@ -170,76 +170,37 @@ func (r *Registry) snapshotInto(rep *Report) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	counterVecs := make([]*CounterVec, 0, len(r.counterVecs))
-	for _, v := range r.counterVecs {
-		counterVecs = append(counterVecs, v)
-	}
-	gaugeVecs := make([]*GaugeVec, 0, len(r.gaugeVecs))
-	for _, v := range r.gaugeVecs {
-		gaugeVecs = append(gaugeVecs, v)
-	}
-	histVecs := make([]*HistogramVec, 0, len(r.histVecs))
-	for _, v := range r.histVecs {
-		histVecs = append(histVecs, v)
-	}
-	for name, c := range r.counters {
-		rep.Counters = append(rep.Counters, CounterSnap{Name: name, Value: c.Value()})
-	}
-	for name, g := range r.gauges {
-		rep.Gauges = append(rep.Gauges, GaugeSnap{Name: name, Value: g.Value()})
-	}
-	for name, h := range r.hists {
-		bounds, counts := h.Buckets()
-		rep.Histograms = append(rep.Histograms, HistogramSnap{
-			Name: name, Count: h.Count(), Sum: h.Sum(), Bounds: bounds, Counts: counts,
+	rep.Counters = append(rep.Counters, r.CounterSnapshot()...)
+	for _, v := range families(r, r.gauges) {
+		v.each(func(values []string, g *Gauge) {
+			rep.Gauges = append(rep.Gauges, GaugeSnap{
+				Name: v.name, Value: g.Value(), Labels: labelMap(v.labelNames, values),
+			})
 		})
 	}
-	// Vec children are collected outside the registry lock (each vec has
-	// its own) so a labeled hot path never contends with a snapshot for
-	// longer than one map copy.
-	r.mu.Unlock()
-	for _, v := range counterVecs {
-		for _, c := range v.sortedChildren() {
-			rep.Counters = append(rep.Counters, CounterSnap{
-				Name: v.name, Value: c.Value(), Labels: labelMap(v.labelNames, c.labels),
-			})
-		}
-	}
-	for _, v := range gaugeVecs {
-		for _, g := range v.sortedChildren() {
-			rep.Gauges = append(rep.Gauges, GaugeSnap{
-				Name: v.name, Value: g.Value(), Labels: labelMap(v.labelNames, g.labels),
-			})
-		}
-	}
-	for _, v := range histVecs {
-		for _, h := range v.sortedChildren() {
+	for _, v := range families(r, r.hists) {
+		v.each(func(values []string, h *Histogram) {
 			bounds, counts := h.Buckets()
 			rep.Histograms = append(rep.Histograms, HistogramSnap{
 				Name: v.name, Count: h.Count(), Sum: h.Sum(), Bounds: bounds, Counts: counts,
-				Labels: labelMap(v.labelNames, h.labels),
+				Labels: labelMap(v.labelNames, values),
 			})
-		}
+		})
 	}
-	sort.Slice(rep.Counters, func(i, j int) bool {
-		if rep.Counters[i].Name != rep.Counters[j].Name {
-			return rep.Counters[i].Name < rep.Counters[j].Name
-		}
-		return labelSuffix(rep.Counters[i].Labels) < labelSuffix(rep.Counters[j].Labels)
-	})
 	sort.Slice(rep.Gauges, func(i, j int) bool {
-		if rep.Gauges[i].Name != rep.Gauges[j].Name {
-			return rep.Gauges[i].Name < rep.Gauges[j].Name
-		}
-		return labelSuffix(rep.Gauges[i].Labels) < labelSuffix(rep.Gauges[j].Labels)
+		return seriesLess(rep.Gauges[i].Name, rep.Gauges[i].Labels, rep.Gauges[j].Name, rep.Gauges[j].Labels)
 	})
 	sort.Slice(rep.Histograms, func(i, j int) bool {
-		if rep.Histograms[i].Name != rep.Histograms[j].Name {
-			return rep.Histograms[i].Name < rep.Histograms[j].Name
-		}
-		return labelSuffix(rep.Histograms[i].Labels) < labelSuffix(rep.Histograms[j].Labels)
+		return seriesLess(rep.Histograms[i].Name, rep.Histograms[i].Labels, rep.Histograms[j].Name, rep.Histograms[j].Labels)
 	})
+}
+
+// seriesLess orders snapshot series by name, then by rendered labels.
+func seriesLess(a string, al map[string]string, b string, bl map[string]string) bool {
+	if a != b {
+		return a < b
+	}
+	return labelSuffix(al) < labelSuffix(bl)
 }
 
 // CounterSnapshot returns the registry's counters sorted by name — the
@@ -249,26 +210,14 @@ func (r *Registry) CounterSnapshot() []CounterSnap {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	out := make([]CounterSnap, 0, len(r.counters))
-	for name, c := range r.counters {
-		out = append(out, CounterSnap{Name: name, Value: c.Value()})
-	}
-	vecs := make([]*CounterVec, 0, len(r.counterVecs))
-	for _, v := range r.counterVecs {
-		vecs = append(vecs, v)
-	}
-	r.mu.Unlock()
-	for _, v := range vecs {
-		for _, c := range v.sortedChildren() {
-			out = append(out, CounterSnap{Name: v.name, Value: c.Value(), Labels: labelMap(v.labelNames, c.labels)})
-		}
+	out := []CounterSnap{}
+	for _, v := range families(r, r.counters) {
+		v.each(func(values []string, c *Counter) {
+			out = append(out, CounterSnap{Name: v.name, Value: c.Value(), Labels: labelMap(v.labelNames, values)})
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return labelSuffix(out[i].Labels) < labelSuffix(out[j].Labels)
+		return seriesLess(out[i].Name, out[i].Labels, out[j].Name, out[j].Labels)
 	})
 	return out
 }

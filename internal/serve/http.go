@@ -182,6 +182,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		body:      data,
 		noForward: r.Header.Get(cluster.ForwardedHeader) != "",
 	})
+	s.respondSubmit(w, j, coalesced, err)
+}
+
+// respondSubmit answers a job submission: shed → 429 and draining → 503,
+// both with a Retry-After hint, any other error → 500; otherwise 202 for
+// a new job, or 200 when it coalesced onto one already in flight.
+func (s *Server) respondSubmit(w http.ResponseWriter, j *job, coalesced bool, err error) {
 	switch {
 	case errors.Is(err, ErrShed):
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
@@ -228,25 +235,7 @@ func (s *Server) handleNDetect(w http.ResponseWriter, r *http.Request) {
 		requestID: RequestIDFrom(r.Context()),
 		ndetect:   n,
 	})
-	switch {
-	case errors.Is(err, ErrShed):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, apiError{Message: err.Error()})
-		return
-	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeError(w, http.StatusServiceUnavailable, apiError{Message: err.Error()})
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, apiError{Message: err.Error()})
-		return
-	}
-	resp := submitResponse{jobStatus: s.status(j), CoalescedOnto: coalesced}
-	status := http.StatusAccepted
-	if coalesced {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, resp)
+	s.respondSubmit(w, j, coalesced, err)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"context"
+	"fmt"
 	"net/http"
 	"testing"
+	"time"
 
 	"defectsim/internal/faultinject"
 )
@@ -108,6 +111,69 @@ func TestNDetectEndpoint(t *testing.T) {
 		}
 		if lv.DLPPM < 0 {
 			t.Fatalf("level %d DL=%v", i, lv.DLPPM)
+		}
+	}
+}
+
+// TestNDetectShedAndDrain pins the admission answers of POST /v1/ndetect:
+// 429 with Retry-After on a full queue, and 503 with Retry-After while
+// the server drains.
+func TestNDetectShedAndDrain(t *testing.T) {
+	hook, release := blockHook()
+	restore := faultinject.Set(faultinject.HookSwitchSimVector, hook)
+	defer restore()
+
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	study := func(seed int) string {
+		return fmt.Sprintf(`{"circuit":"c17","random_vectors":8,"n":2,"seed":%d}`, seed)
+	}
+
+	// Study 1 holds the worker in switch-sim and study 2 fills the queue;
+	// distinct seeds keep them from coalescing.
+	var ids []string
+	for seed := 1; seed <= 2; seed++ {
+		code, _, data := post(t, ts.URL+"/v1/ndetect", study(seed))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit seed %d = %d, want 202; body: %s", seed, code, data)
+		}
+		ids = append(ids, decode[jobStatus](t, data).ID)
+		if seed == 1 {
+			waitState(t, ts, ids[0], StateRunning)
+		}
+	}
+	code, hdr, data := post(t, ts.URL+"/v1/ndetect", study(3))
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("submit on a full queue = %d, want 429; body: %s", code, data)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Fatal("shed study has no Retry-After hint")
+	}
+
+	done := make(chan DrainReport, 1)
+	go func() { done <- s.Drain(context.Background()) }()
+	for !s.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	code, hdr, data = post(t, ts.URL+"/v1/ndetect", study(4))
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("submit while draining = %d, want 503; body: %s", code, data)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Fatal("draining rejection has no Retry-After hint")
+	}
+
+	release()
+	select {
+	case rep := <-done:
+		if !rep.Clean() {
+			t.Fatalf("drain after release not clean: %+v", rep)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("drain did not complete")
+	}
+	for _, id := range ids {
+		if code, data := waitResult(t, ts, id); code != http.StatusOK {
+			t.Fatalf("study %s = %d: %s", id, code, data)
 		}
 	}
 }

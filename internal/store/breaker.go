@@ -103,9 +103,9 @@ func (b *Breaker) OnChange(fn func(from, to BreakerState)) {
 	b.mu.Unlock()
 }
 
-// State returns the current state, accounting for cooldown expiry (an
-// open breaker past its cooldown reads as open until the next Allow
-// transitions it).
+// State returns the stored state. Cooldown expiry is not applied here:
+// an open breaker past its cooldown reads as open (and its gauge stays
+// at 1) until the next Allow half-opens it.
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
