@@ -59,23 +59,38 @@ func BridgeCandidates(a, b int) []struct {
 	return out
 }
 
-// GenerateBridge tries every candidate formulation of the bridge between
-// netlist nets a and b and returns the patterns that are worth verifying
-// at switch level (deduplicated). A candidate whose search the context
-// cut short yields no pattern, so callers check the context afterwards.
-func (g *Generator) GenerateBridge(ctx context.Context, a, b int, backtrackLimit int) []gatesim.Pattern {
-	var out []gatesim.Pattern
-	seen := map[string]bool{}
-	for _, c := range BridgeCandidates(a, b) {
-		pat, status := g.GenerateConstrained(ctx, c.Fault, []Assign{c.Constraint}, backtrackLimit)
-		if status != StatusDetected {
-			continue
-		}
-		key := string(pat)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, pat)
+// BridgePatterns returns the patterns worth verifying at switch level
+// for the bridge between netlist nets a and b as a lazy sequence, in the
+// shape of an iter.Seq: it solves the candidate formulations in order,
+// one at a time as the consumer asks for the next pattern, and yields
+// each new detecting pattern once. A consumer that stops at the first
+// pattern it accepts leaves the later candidates unsolved. A candidate
+// whose search the context cut short yields no pattern, so callers check
+// the context afterwards.
+func (g *Generator) BridgePatterns(ctx context.Context, a, b int, backtrackLimit int) func(yield func(gatesim.Pattern) bool) {
+	return func(yield func(gatesim.Pattern) bool) {
+		seen := map[string]bool{}
+		for _, c := range BridgeCandidates(a, b) {
+			pat, status := g.GenerateConstrained(ctx, c.Fault, []Assign{c.Constraint}, backtrackLimit)
+			if status != StatusDetected || seen[string(pat)] {
+				continue
+			}
+			seen[string(pat)] = true
+			if !yield(pat) {
+				return
+			}
 		}
 	}
+}
+
+// GenerateBridge collects BridgePatterns: every candidate formulation of
+// the bridge between netlist nets a and b is solved, and the distinct
+// detecting patterns come back in candidate order.
+func (g *Generator) GenerateBridge(ctx context.Context, a, b int, backtrackLimit int) []gatesim.Pattern {
+	var out []gatesim.Pattern
+	g.BridgePatterns(ctx, a, b, backtrackLimit)(func(pat gatesim.Pattern) bool {
+		out = append(out, pat)
+		return true
+	})
 	return out
 }

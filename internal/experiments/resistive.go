@@ -112,7 +112,7 @@ func RunResistiveBridgeStudy(p *Pipeline, gs []float64) (*ResistiveBridgeStudy, 
 		}
 		st.Simulated[oi] = len(sub.Faults)
 		res, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, sub, vectors,
-			p.Config.Workers, gs[oi], reg, trace)
+			p.Config.Workers, gs[oi], reg, trace, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ func exhaustiveSweep(t *testing.T, p *Pipeline, gs []float64) ([]float64, []floa
 	iddq := make([]float64, len(gs))
 	for i, g := range gs {
 		res, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, bridges, vectors,
-			1, g, nil, trace)
+			1, g, nil, trace, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
 		good.Apply(v)
 	}
 	memo := newCCCMemo(c)
-	shapes := newSeedClasses(c, memo)
+	shapes := newSeedClasses(c, memo, nil)
 	// The first three simulable faults, and the first three whose settles
 	// oscillate, so the cycle search's snapshots are stepped too.
 	var lives []*live
@@ -315,12 +315,12 @@ func TestPooledReuseBitwiseIdenticalToFreshMachines(t *testing.T) {
 		want := freshMachineCampaign(c, list, vecs, BridgeG, 0)
 		trace, _ := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
 		for _, w := range []int{1, 4, runtime.NumCPU()} {
-			res, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, nil)
+			res, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, nil, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", nl.Name, w, err)
 			}
 			sameResult(t, nl.Name+" untraced", want, res)
-			tres, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, trace)
+			tres, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, trace, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d traced: %v", nl.Name, w, err)
 			}
@@ -330,7 +330,7 @@ func TestPooledReuseBitwiseIdenticalToFreshMachines(t *testing.T) {
 		// memo serves every other CCC at any conductance.
 		const weak = 1.5
 		want = freshMachineCampaign(c, list, vecs, weak, 0)
-		res, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, weak, nil, trace)
+		res, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, weak, nil, trace, nil)
 		if err != nil {
 			t.Fatalf("%s resistive: %v", nl.Name, err)
 		}
@@ -358,7 +358,7 @@ func TestPooledReuseCancelMatchesFreshMachines(t *testing.T) {
 			}
 			return nil
 		})
-		res, _, err := SimulateFaults(ctx, c, list, vecs, w, BridgeG, nil, nil)
+		res, _, err := SimulateFaults(ctx, c, list, vecs, w, BridgeG, nil, nil, nil)
 		restore()
 		cancel()
 		if !errors.Is(err, context.Canceled) {

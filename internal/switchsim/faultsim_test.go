@@ -22,7 +22,7 @@ func campaign(t testing.TB, nl *netlist.Netlist, nVec int, seed int64) (*fault.L
 	list := extract.Faults(L, defect.Typical())
 	c := transistor.FromLayout(L)
 	vecs := randomVectors(len(nl.PIs), nVec, seed)
-	res, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil)
+	res, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,12 +81,12 @@ func TestTracedCampaignBitwiseEqual(t *testing.T) {
 	for _, nl := range []*netlist.Netlist{netlist.C17(), netlist.RippleAdder(4)} {
 		list, c := buildCampaign(t, nl)
 		vecs := randomVectors(len(nl.PIs), 48, 21)
-		ref, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil)
+		ref, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		res, tr, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil)
+		res, tr, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestTracedCampaignBitwiseEqual(t *testing.T) {
 		}
 
 		for _, w := range []int{1, 4, runtime.NumCPU()} {
-			traced, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, tr)
+			traced, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, tr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,11 +115,11 @@ func TestTracedCampaignBitwiseEqual(t *testing.T) {
 		// Resistive conductances exercise the verdict and oscillation paths
 		// differently; the trace is bridge-model independent.
 		for _, g := range []float64{20, 1.5, 0.3} {
-			refG, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, g, nil, nil)
+			refG, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, g, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tracedG, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, g, nil, tr)
+			tracedG, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, g, nil, tr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,12 +136,12 @@ func TestTracedCampaignPrefixExtension(t *testing.T) {
 	list, c := buildCampaign(t, nl)
 	vecs := randomVectors(len(nl.PIs), 40, 8)
 	tr, _ := CaptureGoodTraceCtx(context.Background(), c, vecs[:25], nil)
-	ref, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil)
+	ref, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
-		got, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, tr)
+		got, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, tr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,9 +174,9 @@ func TestTracedCampaignCancelMidRun(t *testing.T) {
 		var res *Result
 		var err error
 		if traced {
-			res, _, err = SimulateFaults(ctx, c, list, vecs, 0, BridgeG, nil, tr)
+			res, _, err = SimulateFaults(ctx, c, list, vecs, 0, BridgeG, nil, tr, nil)
 		} else {
-			res, _, err = SimulateFaults(ctx, c, list, vecs, 0, BridgeG, nil, nil)
+			res, _, err = SimulateFaults(ctx, c, list, vecs, 0, BridgeG, nil, nil, nil)
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("traced=%v: err = %v, want context.Canceled", traced, err)
@@ -202,7 +202,7 @@ func TestTracedCampaignUnsettledCutoff(t *testing.T) {
 		t.Fatal("truncated trace with a recorded cutoff must count as complete")
 	}
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
-		res, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, trunc)
+		res, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, trunc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestTracedCampaignUnsettledCutoff(t *testing.T) {
 			t.Fatalf("workers=%d: GoodUnsettledAt=%d VectorsApplied=%d, want %d/%d",
 				w, res.GoodUnsettledAt, res.VectorsApplied, cut, cut-1)
 		}
-		ref, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil)
+		ref, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,13 +240,13 @@ func TestTraceValidation(t *testing.T) {
 	nl2 := netlist.RippleAdder(4)
 	_, c2 := buildCampaign(t, nl2)
 	vecs2 := randomVectors(len(nl2.PIs), 16, 2)
-	if _, _, err := SimulateFaults(context.Background(), c2, list, vecs2, 1, BridgeG, nil, tr); err == nil || !strings.Contains(err.Error(), "nets") {
+	if _, _, err := SimulateFaults(context.Background(), c2, list, vecs2, 1, BridgeG, nil, tr, nil); err == nil || !strings.Contains(err.Error(), "nets") {
 		t.Fatalf("cross-circuit trace: err = %v, want net-count mismatch", err)
 	}
 
 	// Diverging vectors.
 	other := randomVectors(len(nl.PIs), 16, 99)
-	if _, _, err := SimulateFaults(context.Background(), c, list, other, 1, BridgeG, nil, tr); err == nil || !strings.Contains(err.Error(), "diverge") {
+	if _, _, err := SimulateFaults(context.Background(), c, list, other, 1, BridgeG, nil, tr, nil); err == nil || !strings.Contains(err.Error(), "diverge") {
 		t.Fatalf("diverging vectors: err = %v, want divergence error", err)
 	}
 
@@ -257,12 +257,12 @@ func TestTraceValidation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || part.Complete() {
 		t.Fatalf("cancelled capture: err=%v complete=%v", err, part.Complete())
 	}
-	if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, nil, part); err == nil || !strings.Contains(err.Error(), "incomplete") {
+	if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, nil, part, nil); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("incomplete trace: err = %v, want incomplete error", err)
 	}
 
 	// Empty trace (a nil one asks the campaign to capture its own).
-	if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, nil, &GoodTrace{}); err == nil || !strings.Contains(err.Error(), "empty") {
+	if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, nil, &GoodTrace{}, nil); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("empty trace: err = %v, want an empty-trace error", err)
 	}
 
@@ -280,7 +280,7 @@ func TestTraceValidation(t *testing.T) {
 			bad.States = append(bad.States, append([]Val(nil), st...))
 		}
 		tc.mutate(bad.States)
-		if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, nil, bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, nil, bad, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want an error mentioning %q", tc.name, err, tc.want)
 		}
 	}
@@ -311,7 +311,7 @@ func TestCampaignRejectsBadVectors(t *testing.T) {
 		{"narrow vector", "bits", narrow},
 	} {
 		for _, tr := range []*GoodTrace{nil, good} {
-			if res, got, err := SimulateFaults(ctx, c, list, tc.vecs, 2, BridgeG, nil, tr); err == nil || res != nil || got != nil || !strings.Contains(err.Error(), tc.want) {
+			if res, got, err := SimulateFaults(ctx, c, list, tc.vecs, 2, BridgeG, nil, tr, nil); err == nil || res != nil || got != nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("%s (traced %v): SimulateFaults = %v, %v, %v; want an error mentioning %q", tc.name, tr != nil, res, got, err, tc.want)
 			}
 		}
@@ -330,12 +330,12 @@ func TestGoodTraceMetrics(t *testing.T) {
 	vecs := randomVectors(len(nl.PIs), 16, 4)
 	reg := obs.NewRegistry()
 
-	_, tr, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, reg, nil)
+	_, tr, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, reg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, reg, tr); err != nil {
+		if _, _, err := SimulateFaults(context.Background(), c, list, vecs, 1, BridgeG, reg, tr, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

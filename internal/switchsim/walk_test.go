@@ -137,7 +137,7 @@ func TestDivergedWalkMatchesApply(t *testing.T) {
 	for _, s := range oracleSetups(t) {
 		logs := traceLogs(s.c, s.memo, s.trace, s.vecs)
 		for _, g := range []float64{BridgeG, 1.5} {
-			shapes := newSeedClasses(s.c, s.memo)
+			shapes := newSeedClasses(s.c, s.memo, nil)
 			classes := &seedTable{}
 			var steps, handed int
 			var replay, solved int64
