@@ -425,6 +425,40 @@ func TestFrontEndsEvictLRU(t *testing.T) {
 	}
 }
 
+// TestPipelineSwitchMemoFollowsEntry: a run the memo served reaches its
+// entry's design memo only while the memo holds the entry, so evicting
+// the entry frees the design memo even while the run's Pipeline is
+// retained; a miss uses the shared switch-level memo, a run without a
+// memo none.
+func TestPipelineSwitchMemoFollowsEntry(t *testing.T) {
+	memo := NewFrontEnds(nil)
+	cfg := smallConfig()
+	cfg.FrontEnds = memo
+	miss, err := Run(netlist.C17(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := Run(netlist.C17(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.FrontEnds = nil
+	none, err := Run(netlist.C17(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := memo.entries[0].sw
+	if design == nil || design == memo.sw || hit.switchMemo() != design || miss.switchMemo() != memo.sw || none.switchMemo() != nil {
+		t.Fatal("the hit does not use the entry's design memo, the miss the shared memo, or the memo-less run none")
+	}
+	for i := 1; i <= frontEndsCap; i++ {
+		memo.put(&frontEnd{key: frontEndKey{byte(i)}})
+	}
+	if hit.switchMemo() != memo.sw {
+		t.Fatal("a retained run still reaches the design memo of an evicted entry")
+	}
+}
+
 // TestFrontEndsConcurrent shares one memo among 8 goroutines running two
 // designs under four seeds; every run matches its memo-less reference.
 // CI runs it under -race -count=10.
