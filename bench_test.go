@@ -267,42 +267,22 @@ func BenchmarkPathDelayStudy(b *testing.B) {
 
 // BenchmarkResistiveBridges regenerates ABL-8: the bridge-conductance
 // sweep showing voltage detectability collapsing for resistive bridges
-// while the IDDQ screen persists.
+// while the IDDQ screen persists. Each conductance point is one campaign
+// over the faults the stronger points left worth simulating, so the
+// regression gate records the carry-forward win of the
+// detected-fault-dropping sweep.
 func BenchmarkResistiveBridges(b *testing.B) {
 	p := c432Pipeline(b)
 	b.ResetTimer()
 	var st *experiments.ResistiveBridgeStudy
 	for i := 0; i < b.N; i++ {
 		var err error
-		st, err = experiments.RunResistiveBridgeStudy(p, nil)
+		st, err = experiments.RunResistiveBridgeStudy(context.Background(), p, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	printFigure("ABL-8", st.Render())
-}
-
-// BenchmarkResistiveSweepGoodTrace measures the ABL-8 sweep with a warm
-// shared good-machine trace: every conductance point replays the recorded
-// fault-free states (swsim_goodtrace hits) instead of re-simulating the
-// good machine — the regression gate records the trace-cache win (and,
-// since the detected-fault-dropping sweep, the carry-forward win). The
-// longest benchmark in the suite, so `-short` skips it; the CI bench job
-// runs the full suite and still gates it.
-func BenchmarkResistiveSweepGoodTrace(b *testing.B) {
-	if testing.Short() {
-		b.Skip("minutes-long sweep; run without -short (CI bench job does)")
-	}
-	p := c432Pipeline(b)
-	if _, err := p.GoodTrace(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunResistiveBridgeStudy(p, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkMaxwellAitken regenerates ABL-7: equal stuck-at coverage, a
@@ -314,7 +294,7 @@ func BenchmarkMaxwellAitken(b *testing.B) {
 	var st *experiments.MaxwellAitkenStudy
 	for i := 0; i < b.N; i++ {
 		var err error
-		st, err = experiments.RunMaxwellAitken(p)
+		st, err = experiments.RunMaxwellAitken(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,7 +310,7 @@ func BenchmarkBridgeDiagnosis(b *testing.B) {
 	var st *experiments.DiagnosisStudy
 	for i := 0; i < b.N; i++ {
 		var err error
-		st, err = experiments.RunDiagnosisStudy(p, 100, 5)
+		st, err = experiments.RunDiagnosisStudy(context.Background(), p, 100, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -426,8 +406,10 @@ func BenchmarkSwitchLevelGoodSim(b *testing.B) {
 	vecs := switchsim.Vectors(gatesim.RandomPatterns(L.Netlist, 64, 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := switchsim.Run(c, vecs); err != nil {
-			b.Fatal(err)
+		for _, out := range switchsim.Run(c, vecs) {
+			if out == nil {
+				b.Fatal("the fault-free machine did not settle")
+			}
 		}
 	}
 }
@@ -534,7 +516,7 @@ func benchSwitchSim(b *testing.B, reg func() *obs.Registry) {
 	vectors := switchsim.Vectors(p.TestSet.Patterns[:min(64, len(p.TestSet.Patterns))])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, reg(), nil, nil); err != nil {
+		if _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, reg(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -552,11 +534,9 @@ func BenchmarkSwitchSimTraced(b *testing.B) {
 }
 
 // smallCircuitCampaigns builds the pipelines of the six small circuits
-// dlbench's small_mix workload sends (one seed each) and captures their
-// good traces.
-func smallCircuitCampaigns(b *testing.B) ([]*experiments.Pipeline, []*switchsim.GoodTrace) {
+// dlbench's small_mix workload sends (one seed each).
+func smallCircuitCampaigns(b *testing.B) []*experiments.Pipeline {
 	var pipes []*experiments.Pipeline
-	var traces []*switchsim.GoodTrace
 	for _, name := range []string{"c17", "adder", "mux", "parity", "cmp", "dec"} {
 		nl, err := netlist.ByName(name, 1994)
 		if err != nil {
@@ -566,22 +546,18 @@ func smallCircuitCampaigns(b *testing.B) ([]*experiments.Pipeline, []*switchsim.
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr, err := p.GoodTrace(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		pipes, traces = append(pipes, p), append(traces, tr)
+		pipes = append(pipes, p)
 	}
-	return pipes, traces
+	return pipes
 }
 
 // benchSmallCircuits times the six small campaigns, each against memos[j]
 // (nil: a private memo per campaign).
-func benchSmallCircuits(b *testing.B, pipes []*experiments.Pipeline, traces []*switchsim.GoodTrace, memos []*switchsim.Memo) {
+func benchSmallCircuits(b *testing.B, pipes []*experiments.Pipeline, memos []*switchsim.Memo) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, p := range pipes {
-			if _, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, p.Vectors(), 0, switchsim.BridgeG, nil, traces[j], memos[j]); err != nil {
+			if _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, p.Vectors(), 0, switchsim.BridgeG, nil, memos[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -590,12 +566,11 @@ func benchSmallCircuits(b *testing.B, pipes []*experiments.Pipeline, traces []*s
 
 // BenchmarkSwitchSimSmallCircuits times the switch-level campaigns of the
 // six small circuits dlbench's small_mix workload sends (one seed each,
-// each campaign on its pipeline's test set, good traces captured before
-// the timer starts): the per-fault cost of short jobs, where the campaign
-// is most of a request.
+// each campaign on its pipeline's test set): the per-fault cost of short
+// jobs, where the campaign is most of a request.
 func BenchmarkSwitchSimSmallCircuits(b *testing.B) {
-	pipes, traces := smallCircuitCampaigns(b)
-	benchSmallCircuits(b, pipes, traces, make([]*switchsim.Memo, len(pipes)))
+	pipes := smallCircuitCampaigns(b)
+	benchSmallCircuits(b, pipes, make([]*switchsim.Memo, len(pipes)))
 }
 
 // BenchmarkSwitchSimSmallCircuitsWarm is BenchmarkSwitchSimSmallCircuits
@@ -604,16 +579,16 @@ func BenchmarkSwitchSimSmallCircuits(b *testing.B) {
 // repeated design's campaign costs on dlprojd, where the fault plans, seed
 // classes, CCC tables and class-table entries are already built.
 func BenchmarkSwitchSimSmallCircuitsWarm(b *testing.B) {
-	pipes, traces := smallCircuitCampaigns(b)
+	pipes := smallCircuitCampaigns(b)
 	shared := switchsim.NewMemo(nil)
 	memos := make([]*switchsim.Memo, len(pipes))
 	for j, p := range pipes {
 		memos[j] = shared.Design(p.Circuit, p.Faults)
-		if _, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, p.Vectors(), 0, switchsim.BridgeG, nil, traces[j], memos[j]); err != nil {
+		if _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, p.Vectors(), 0, switchsim.BridgeG, nil, memos[j]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	benchSmallCircuits(b, pipes, traces, memos)
+	benchSmallCircuits(b, pipes, memos)
 }
 
 // BenchmarkPipelineStoreHitC432 times a result-store hit on the

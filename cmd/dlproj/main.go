@@ -313,7 +313,7 @@ func main() {
 		}
 		fmt.Print(st.Render())
 	case "resist":
-		st, err := experiments.RunResistiveBridgeStudy(run(cfg), nil)
+		st, err := experiments.RunResistiveBridgeStudy(ctx, run(cfg), nil)
 		if err != nil {
 			fatal(err)
 		}
@@ -325,7 +325,7 @@ func main() {
 		}
 		fmt.Print(st.Render())
 	case "maxwell":
-		st, err := experiments.RunMaxwellAitken(run(cfg))
+		st, err := experiments.RunMaxwellAitken(ctx, run(cfg))
 		if err != nil {
 			fatal(err)
 		}
@@ -335,7 +335,7 @@ func main() {
 	case "inject":
 		fmt.Print(experiments.RunInjectionValidation(run(cfg), 50000, *seed).Render())
 	case "diag":
-		st, err := experiments.RunDiagnosisStudy(run(cfg), 200, 5)
+		st, err := experiments.RunDiagnosisStudy(ctx, run(cfg), 200, 5)
 		if err != nil {
 			fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 
 	"defectsim/internal/atpg"
 	"defectsim/internal/gatesim"
-	"defectsim/internal/layout"
 	"defectsim/internal/netlist"
 	"defectsim/internal/store"
 	"defectsim/internal/switchsim"
@@ -48,13 +47,6 @@ type cacheFile struct {
 	// (Result.DetectedBy clamps to VectorsApplied).
 	VectorsApplied  int `json:"vectors_applied"`
 	GoodUnsettledAt int `json:"good_unsettled_at"`
-	// GoodTrace persists the fault-free machine's settled states (one row
-	// per recorded state, one byte per net) so downstream studies on a
-	// cache-hit pipeline skip the good-machine pass too. The enclosing
-	// envelope checksum is the invalidation key: the trace is only reused
-	// when circuit and config digest match.
-	GoodTrace          [][]byte `json:"good_trace,omitempty"`
-	GoodTraceUnsettled int      `json:"good_trace_unsettled,omitempty"`
 }
 
 type cacheConfig struct {
@@ -67,7 +59,9 @@ type cacheConfig struct {
 
 // cacheVersion 2 introduced the checksummed envelope; 3 added the full
 // switch-level Result record (vectors applied, undecided flags, unsettled
-// cutoff) and the persisted good-machine trace.
+// cutoff). Version-3 entries written with the fault-free machine's
+// settled states (good_trace, good_trace_unsettled) still restore: the
+// payload parser ignores fields it does not know.
 const cacheVersion = 3
 
 // CacheKey returns the result-cache identity of a run: a short hex digest
@@ -130,18 +124,6 @@ func (p *Pipeline) EncodeCache() ([]byte, error) {
 	for _, pat := range p.TestSet.Patterns {
 		cf.Patterns = append(cf.Patterns, []uint8(pat))
 	}
-	p.traceMu.Lock()
-	if tr := p.goodTrace; tr.Complete() {
-		for _, st := range tr.States {
-			row := make([]byte, len(st))
-			for i, v := range st {
-				row[i] = byte(v)
-			}
-			cf.GoodTrace = append(cf.GoodTrace, row)
-		}
-		cf.GoodTraceUnsettled = tr.UnsettledAt
-	}
-	p.traceMu.Unlock()
 	payload, err := json.Marshal(&cf)
 	if err != nil {
 		return nil, err
@@ -376,50 +358,5 @@ func (cf *cacheFile) restore(p *Pipeline) error {
 		VectorsApplied:  cf.VectorsApplied,
 		GoodUnsettledAt: cf.GoodUnsettledAt,
 	}
-	// Restore the persisted good trace so downstream studies on this
-	// cache-hit pipeline reuse it instead of recapturing. A trace that
-	// cannot be the fault-free trajectory of the rebuilt circuit (or is
-	// incomplete) is dropped silently — it is an optimization, and
-	// GoodTrace recaptures lazily.
-	if len(cf.GoodTrace) > 0 {
-		tr := &switchsim.GoodTrace{Vectors: p.Vectors(), UnsettledAt: cf.GoodTraceUnsettled}
-		valid := true
-		for k, row := range cf.GoodTrace {
-			if !validTraceRow(row, p.Circuit.NumNets, k == 0) {
-				valid = false
-				break
-			}
-			st := make([]switchsim.Val, len(row))
-			for i, b := range row {
-				st[i] = switchsim.Val(b)
-			}
-			tr.States = append(tr.States, st)
-		}
-		if valid && tr.Complete() {
-			p.goodTrace = tr
-			p.Config.Obs.Metrics().Gauge("swsim_goodtrace_bytes").Set(float64(tr.Bytes()))
-		}
-	}
 	return nil
-}
-
-// validTraceRow reports whether a persisted good-trace row can be a state
-// of the fault-free machine on a circuit of numNets nets: one 0/1/X value
-// per net, the rails at their levels, and, for the first row, the reset
-// state (every other net X). A checksum proves only that the bytes are
-// the ones sealed; an installed value outside 0/1/X would corrupt every
-// coverage figure computed against the trace.
-func validTraceRow(row []byte, numNets int, reset bool) bool {
-	if len(row) != numNets || row[layout.NetGND] != byte(switchsim.V0) || row[layout.NetVDD] != byte(switchsim.V1) {
-		return false
-	}
-	for i, b := range row {
-		if i == layout.NetGND || i == layout.NetVDD {
-			continue
-		}
-		if b > byte(switchsim.VX) || (reset && b != byte(switchsim.VX)) {
-			return false
-		}
-	}
-	return true
 }

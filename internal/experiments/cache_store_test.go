@@ -322,34 +322,80 @@ func TestInconsistentPayloadIsCorrupt(t *testing.T) {
 	}
 }
 
-// poisonedTraces are checksum-valid payloads whose persisted good trace
-// cannot be the fault-free machine's trajectory: every field the restore
-// checks for shape is consistent, only the trace's values are wrong.
-var poisonedTraces = []struct {
+// goodTraceRows returns the good_trace rows a version-3 entry of p once
+// carried: the fault-free machine's state before the first vector and
+// after each, one byte per net.
+func goodTraceRows(p *Pipeline) [][]byte {
+	m := switchsim.NewMachine(p.Circuit)
+	row := func() []byte {
+		out := make([]byte, p.Circuit.NumNets)
+		for n := range out {
+			out[n] = byte(m.Val(n))
+		}
+		return out
+	}
+	rows := [][]byte{row()}
+	for _, vec := range p.Vectors() {
+		m.Apply(vec)
+		rows = append(rows, row())
+	}
+	return rows
+}
+
+// withGoodTrace reseals env with a good_trace field holding rows, the
+// field version-3 entries carried before the campaign stepped its own
+// fault-free machine.
+func withGoodTrace(t testing.TB, env []byte, rows [][]byte) []byte {
+	t.Helper()
+	_, payload, err := store.Open(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if fields["good_trace"], err = json.Marshal(rows); err != nil {
+		t.Fatal(err)
+	}
+	if payload, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	out, err := store.Seal(cacheVersion, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// legacyTraces are the good_trace rows an entry may carry: the fault-free
+// machine's states, and three shapes no fault-free machine produces.
+var legacyTraces = []struct {
 	name   string
-	mutate func(cf *cacheFile)
+	mutate func(rows [][]byte)
 }{
-	{"value 9", func(cf *cacheFile) {
-		for _, row := range cf.GoodTrace[1:] {
+	{"valid rows", func([][]byte) {}},
+	{"value 9", func(rows [][]byte) {
+		for _, row := range rows[1:] {
 			for n := 2; n < len(row); n++ {
 				row[n] = 9
 			}
 		}
 	}},
-	{"GND at V1", func(cf *cacheFile) {
-		for _, row := range cf.GoodTrace {
+	{"GND at V1", func(rows [][]byte) {
+		for _, row := range rows {
 			row[layout.NetGND] = byte(switchsim.V1)
 		}
 	}},
-	{"first state not the reset state", func(cf *cacheFile) {
-		copy(cf.GoodTrace[0], cf.GoodTrace[1])
+	{"first state not the reset state", func(rows [][]byte) {
+		copy(rows[0], rows[1])
 	}},
 }
 
-// TestPoisonedGoodTraceDropped pins the restore policy for a persisted
-// good trace whose values are wrong: the decoded pipeline drops the trace
-// (GoodTrace recaptures it lazily), so the n-detect study on the store hit
-// equals the cold run's instead of scoring against the poisoned states.
+// TestPoisonedGoodTraceDropped pins that entries written with a
+// good_trace field keep serving whatever it holds: the payload parser
+// ignores the field, so the store hit restores the cold run's results and
+// the n-detect study on it equals the cold run's.
 func TestPoisonedGoodTraceDropped(t *testing.T) {
 	ctx := context.Background()
 	cfg := smallConfig()
@@ -366,21 +412,21 @@ func TestPoisonedGoodTraceDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range poisonedTraces {
+	for _, tc := range legacyTraces {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := DecodeCached(ctx, netlist.C17(), cfg, reseal(t, env, tc.mutate))
+			rows := goodTraceRows(cold)
+			tc.mutate(rows)
+			p, err := DecodeCached(ctx, netlist.C17(), cfg, withGoodTrace(t, env, rows))
 			if err != nil {
 				t.Fatalf("DecodeCached: %v", err)
 			}
-			if p.goodTrace != nil {
-				t.Fatal("the decoded pipeline kept the poisoned good trace")
-			}
+			assertSameRun(t, tc.name, cold, p)
 			got, err := RunNDetectStudy(ctx, p, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n-detect study on the poisoned hit: Θ(n) = %v, the cold run's is %v", got.Theta, want.Theta)
+				t.Fatalf("n-detect study on the hit: Θ(n) = %v, the cold run's is %v", got.Theta, want.Theta)
 			}
 		})
 	}
@@ -420,7 +466,7 @@ func TestRunStoredDegradedNotPersisted(t *testing.T) {
 // bytes are a cache payload, sealed so the checksum always verifies: on
 // c17, DecodeCached must either refuse the payload or return a pipeline
 // whose every read of the result works, including a study that simulates
-// against the restored good trace. A short random prefix keeps the
+// on top of the restored results. A short random prefix keeps the
 // payloads small, so minimizing an input (each valid one reruns the c17
 // front end) stays cheap.
 func FuzzDecodeCached(f *testing.F) {
@@ -439,8 +485,10 @@ func FuzzDecodeCached(f *testing.F) {
 	for _, tc := range inconsistentPayloads {
 		seeds = append(seeds, reseal(f, env, tc.mutate))
 	}
-	for _, tc := range poisonedTraces {
-		seeds = append(seeds, reseal(f, env, tc.mutate))
+	for _, tc := range legacyTraces {
+		rows := goodTraceRows(cold)
+		tc.mutate(rows)
+		seeds = append(seeds, withGoodTrace(f, env, rows))
 	}
 	for _, seed := range seeds {
 		_, payload, err := store.Open(seed)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -60,6 +61,20 @@ func TestRunCachedRoundTrip(t *testing.T) {
 		t.Fatalf("fit differs: %+v vs %+v", f1.Fitted, f2.Fitted)
 	}
 	assertSameRun(t, "cache hit", p1, p2)
+	// A study that re-simulates on the restored results matches the fresh
+	// run's.
+	gs := []float64{20, 1.5}
+	st1, err := RunResistiveBridgeStudy(context.Background(), p1, gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := RunResistiveBridgeStudy(context.Background(), p2, gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st1, st2) {
+		t.Fatalf("resistive sweep on the cache hit %+v, on the fresh run %+v", st2, st1)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -27,24 +27,15 @@ type DiagnosisStudy struct {
 }
 
 // RunDiagnosisStudy diagnoses up to maxBridges detected signal-net bridges
-// with a top-K implicated-net budget.
-func RunDiagnosisStudy(p *Pipeline, maxBridges, topK int) (*DiagnosisStudy, error) {
+// with a top-K implicated-net budget. ctx is polled once per bridge; a
+// cancelled study returns the context's error.
+func RunDiagnosisStudy(ctx context.Context, p *Pipeline, maxBridges, topK int) (*DiagnosisStudy, error) {
 	dict, err := diagnose.Build(p.Netlist, p.StuckAt, p.TestSet.Patterns)
 	if err != nil {
 		return nil, err
 	}
 	vectors := p.Vectors()
-	// One shared good trace replaces the per-bridge fault-free replay (up
-	// to maxBridges full re-simulations). Only a trace that settled through
-	// the whole sequence preserves observeBridge's exact skip semantics; a
-	// truncated one falls back to live stepping.
-	trace, err := p.GoodTrace(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	if trace.UnsettledAt != 0 || trace.Applied() < len(vectors) {
-		trace = nil
-	}
+	good := switchsim.Run(p.Circuit, vectors)
 
 	st := &DiagnosisStudy{TopK: topK}
 	var rankSum int
@@ -59,10 +50,10 @@ func RunDiagnosisStudy(p *Pipeline, maxBridges, topK int) (*DiagnosisStudy, erro
 		if a.Kind != layout.KindSignal || b.Kind != layout.KindSignal {
 			continue
 		}
-		obs, err := observeBridge(p, f, vectors, trace)
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		obs := observeBridge(p, f, vectors, good)
 		if len(obs) == 0 {
 			st.Undiagnosed++
 			continue
@@ -88,35 +79,23 @@ func RunDiagnosisStudy(p *Pipeline, maxBridges, topK int) (*DiagnosisStudy, erro
 }
 
 // observeBridge replays the test set on the bridged machine and collects
-// the definite primary-output mismatches — what a tester's datalog holds.
-// A non-nil trace must settle through all of vectors; its recorded states
-// then stand in for the fault-free replay.
-func observeBridge(p *Pipeline, f fault.Realistic, vectors []switchsim.Vector, trace *switchsim.GoodTrace) ([]gatesim.Fail, error) {
+// the definite primary-output mismatches against the fault-free outputs
+// good (switchsim.Run) — what a tester's datalog holds. A vector the
+// fault-free machine did not settle on is skipped, and the bridged
+// machine does not step it.
+func observeBridge(p *Pipeline, f fault.Realistic, vectors []switchsim.Vector, good [][]switchsim.Val) []gatesim.Fail {
 	m, verdict := switchsim.NewFaultMachine(p.Circuit, f)
 	if verdict != switchsim.VerdictSimulate {
-		return nil, nil
-	}
-	var good *switchsim.Machine
-	if trace == nil {
-		good = switchsim.NewMachine(p.Circuit)
+		return nil
 	}
 	var obs []gatesim.Fail
 	for k, vec := range vectors {
-		if good != nil && !good.Apply(vec) {
+		if good[k] == nil || !m.Apply(vec) {
 			continue
-		}
-		if !m.Apply(vec) {
-			continue
-		}
-		goodVal := func(po int) switchsim.Val {
-			if good != nil {
-				return good.Val(po)
-			}
-			return trace.States[k+1][po]
 		}
 		var pm uint64
 		for oi, po := range p.Circuit.POs {
-			gv, fv := goodVal(po), m.Val(po)
+			gv, fv := good[k][oi], m.Val(po)
 			if gv != switchsim.VX && fv != switchsim.VX && gv != fv {
 				pm |= 1 << uint(oi)
 			}
@@ -125,7 +104,7 @@ func observeBridge(p *Pipeline, f fault.Realistic, vectors []switchsim.Vector, t
 			obs = append(obs, gatesim.Fail{Vector: k, POMask: pm})
 		}
 	}
-	return obs, nil
+	return obs
 }
 
 // Render prints the study.

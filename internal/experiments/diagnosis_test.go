@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -12,7 +14,7 @@ func TestDiagnosisStudyLocalizesBridges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunDiagnosisStudy(p, 60, 5)
+	st, err := RunDiagnosisStudy(context.Background(), p, 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +38,26 @@ func TestDiagnosisStudyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunDiagnosisStudy(p, 3, 5)
+	st, err := RunDiagnosisStudy(context.Background(), p, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Bridges > 3 {
 		t.Fatalf("budget exceeded: %d", st.Bridges)
+	}
+}
+
+// TestDiagnosisStudyCancelled: the replay polls its context once per
+// bridge, so a cancelled study returns the context's error instead of
+// replaying every bridge.
+func TestDiagnosisStudyCancelled(t *testing.T) {
+	p, err := Run(netlist.RippleAdder(4), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if st, err := RunDiagnosisStudy(ctx, p, 60, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled diagnosis returned %+v, %v; want context.Canceled", st, err)
 	}
 }

@@ -26,8 +26,9 @@ type MaxwellAitkenStudy struct {
 }
 
 // RunMaxwellAitken compacts the pipeline's test set and re-runs the
-// switch-level campaign on the compacted vectors.
-func RunMaxwellAitken(p *Pipeline) (*MaxwellAitkenStudy, error) {
+// switch-level campaign on the compacted vectors, polling ctx once per
+// vector; a cancelled study returns the context's error.
+func RunMaxwellAitken(ctx context.Context, p *Pipeline) (*MaxwellAitkenStudy, error) {
 	st := &MaxwellAitkenStudy{
 		FullVectors:     len(p.TestSet.Patterns),
 		StuckAtCoverage: p.TestSet.Coverage(true),
@@ -42,7 +43,7 @@ func RunMaxwellAitken(p *Pipeline) (*MaxwellAitkenStudy, error) {
 	st.CompactVectors = len(compacted)
 
 	vectors := switchsim.Vectors(compacted)
-	res, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, nil, nil, p.switchMemo())
+	res, err := switchsim.SimulateFaults(ctx, p.Circuit, p.Faults, vectors, 0, switchsim.BridgeG, nil, p.switchMemo())
 	if err != nil {
 		return nil, err
 	}

@@ -52,11 +52,10 @@ type NDetectStudy struct {
 // Level 1 is the pipeline's own test set and switch-level campaign —
 // no re-simulation. Each later level grows the previous level's set with
 // atpg.BuildNDetectTestSet (so |T(n)| is monotone) and re-scores the
-// realistic fault list with switchsim.SimulateFaults, sharing the
-// pipeline's good trace for the base-vector prefix; a level that appends
-// no vectors reuses the previous level's Θ outright. Θ is voltage-test
-// coverage (no IDDQ credit), matching the pipeline's headline Θ and the
-// top-up study's accounting.
+// realistic fault list with switchsim.SimulateFaults; a level that
+// appends no vectors reuses the previous level's Θ outright. Θ is
+// voltage-test coverage (no IDDQ credit), matching the pipeline's
+// headline Θ and the top-up study's accounting.
 func RunNDetectStudy(ctx context.Context, p *Pipeline, maxN int) (*NDetectStudy, error) {
 	if maxN < 1 {
 		return nil, fmt.Errorf("experiments: n-detect study needs maxN >= 1, got %d", maxN)
@@ -86,10 +85,6 @@ func RunNDetectStudy(ctx context.Context, p *Pipeline, maxN int) (*NDetectStudy,
 
 	patterns := p.TestSet.Patterns
 	theta := st.Theta[0]
-	trace, err := p.GoodTrace(ctx)
-	if err != nil {
-		return nil, err
-	}
 	for n := 2; n <= maxN; n++ {
 		sp := tr.StartSpan(fmt.Sprintf("ndetect-n%d", n))
 		s, err := atpg.BuildNDetectTestSet(ctx, p.Netlist, p.StuckAt, patterns, p.TestSet.Untestable,
@@ -107,12 +102,10 @@ func RunNDetectStudy(ctx context.Context, p *Pipeline, maxN int) (*NDetectStudy,
 		added := len(s.Patterns) - len(patterns)
 		patterns = s.Patterns
 		if added > 0 {
-			// Re-score the realistic faults under the grown set. The shared
-			// good trace covers the base-vector prefix; the campaign
-			// extends a copy of it over the appended vectors.
+			// Re-score the realistic faults under the grown set.
 			vectors := append(slices.Clip(baseVectors), switchsim.Vectors(patterns[len(baseVectors):])...)
-			res, _, err := switchsim.SimulateFaults(ctx, p.Circuit, p.Faults, vectors,
-				p.Config.Workers, switchsim.BridgeG, reg, trace, p.switchMemo())
+			res, err := switchsim.SimulateFaults(ctx, p.Circuit, p.Faults, vectors,
+				p.Config.Workers, switchsim.BridgeG, reg, p.switchMemo())
 			if err != nil {
 				sp.End()
 				return nil, err

@@ -91,8 +91,8 @@ func StandardStudies() []Study {
 			}
 			return a.Render(), nil
 		}},
-		{"resist", func(_ context.Context, p *Pipeline) (string, error) {
-			st, err := RunResistiveBridgeStudy(p, nil)
+		{"resist", func(ctx context.Context, p *Pipeline) (string, error) {
+			st, err := RunResistiveBridgeStudy(ctx, p, nil)
 			if err != nil {
 				return "", err
 			}
@@ -104,8 +104,8 @@ func StandardStudies() []Study {
 		{"inject", pure(func(p *Pipeline) string {
 			return RunInjectionValidation(p, 50000, p.Config.Seed).Render()
 		})},
-		{"diag", func(_ context.Context, p *Pipeline) (string, error) {
-			st, err := RunDiagnosisStudy(p, 200, 5)
+		{"diag", func(ctx context.Context, p *Pipeline) (string, error) {
+			st, err := RunDiagnosisStudy(ctx, p, 200, 5)
 			if err != nil {
 				return "", err
 			}

@@ -188,13 +188,10 @@ type Pipeline struct {
 	// snapshot); nil unless Config.Obs was set.
 	Report *obs.Report
 
-	// traceMu guards the lazily shared artifacts below. The switch-sim
-	// stage seeds them as a byproduct of the main campaign; downstream
-	// studies (resistive sweep, top-up, diagnosis) and the result cache
-	// read them through Vectors and GoodTrace.
-	traceMu   sync.Mutex
+	// vectorsMu guards vectors, the test set as switch-level vectors, made
+	// on first use by Vectors and shared by every downstream campaign.
+	vectorsMu sync.Mutex
 	vectors   []switchsim.Vector
-	goodTrace *switchsim.GoodTrace
 
 	// served is the key of the Config.FrontEnds entry that served the
 	// run's front end (nil: a miss, or no memo).
@@ -213,45 +210,12 @@ func (p *Pipeline) switchMemo() *switchsim.Memo {
 // memoized: every downstream study shares one slice (read-only by
 // convention) instead of re-converting the patterns.
 func (p *Pipeline) Vectors() []switchsim.Vector {
-	p.traceMu.Lock()
-	defer p.traceMu.Unlock()
-	return p.vectorsLocked()
-}
-
-func (p *Pipeline) vectorsLocked() []switchsim.Vector {
+	p.vectorsMu.Lock()
+	defer p.vectorsMu.Unlock()
 	if p.vectors == nil {
 		p.vectors = switchsim.Vectors(p.TestSet.Patterns)
 	}
 	return p.vectors
-}
-
-// GoodTrace returns the fault-free machine's trace over Vectors(), shared
-// read-only by every switch-level campaign on this pipeline. The switch-sim
-// stage records it as a byproduct of the main campaign (and the result
-// cache restores it), so this normally costs nothing; a pipeline that
-// skipped both (e.g. hand-built in tests) captures it here once, lazily.
-// Counted by the swsim_goodtrace_{hits,misses} metrics.
-func (p *Pipeline) GoodTrace(ctx context.Context) (*switchsim.GoodTrace, error) {
-	p.traceMu.Lock()
-	defer p.traceMu.Unlock()
-	if p.goodTrace == nil {
-		tr, err := switchsim.CaptureGoodTraceCtx(ctx, p.Circuit, p.vectorsLocked(), p.Config.Obs.Metrics())
-		if err != nil {
-			return nil, err
-		}
-		p.goodTrace = tr
-	}
-	return p.goodTrace, nil
-}
-
-// setGoodTrace stores a captured trace for sharing if it is reusable.
-func (p *Pipeline) setGoodTrace(tr *switchsim.GoodTrace) {
-	if !tr.Complete() {
-		return
-	}
-	p.traceMu.Lock()
-	defer p.traceMu.Unlock()
-	p.goodTrace = tr
 }
 
 // Degraded reports whether the run hit any graceful-degradation path.
@@ -432,12 +396,8 @@ func run(ctx context.Context, nl *netlist.Netlist, cfg Config, cf *cacheFile, fa
 
 		if err := r.stage("switch-sim", func(ctx context.Context) error {
 			vectors := p.Vectors()
-			// The campaign captures the good-machine trace up front; it is
-			// shared (via Pipeline.GoodTrace) with every downstream campaign
-			// on the same circuit and vectors.
-			res, trace, err := switchsim.SimulateFaults(ctx, p.Circuit, p.Faults, vectors, cfg.Workers, switchsim.BridgeG, reg, nil, p.switchMemo())
+			res, err := switchsim.SimulateFaults(ctx, p.Circuit, p.Faults, vectors, cfg.Workers, switchsim.BridgeG, reg, p.switchMemo())
 			p.SwitchRes = res
-			p.setGoodTrace(trace)
 			if err != nil && res != nil && r.budgetExhausted(err) {
 				r.degrade("switch-sim", fmt.Sprintf(
 					"stage budget exhausted after %d/%d vectors; %d faults undecided",

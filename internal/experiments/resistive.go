@@ -54,8 +54,9 @@ type ResistiveBridgeStudy struct {
 // only fault-free node values, making it conductance-independent: it is
 // computed once, on the first (full) campaign, and reused at every point.
 // TestResistiveSweepDroppingMatchesExhaustive pins this sweep against the
-// exhaustive one point by point.
-func RunResistiveBridgeStudy(p *Pipeline, gs []float64) (*ResistiveBridgeStudy, error) {
+// exhaustive one point by point. The campaigns poll ctx once per vector;
+// a cancelled sweep returns the context's error.
+func RunResistiveBridgeStudy(ctx context.Context, p *Pipeline, gs []float64) (*ResistiveBridgeStudy, error) {
 	if len(gs) == 0 {
 		gs = []float64{switchsim.BridgeG, 20, 5, 1.5, 0.3}
 	}
@@ -66,13 +67,6 @@ func RunResistiveBridgeStudy(p *Pipeline, gs []float64) (*ResistiveBridgeStudy, 
 		}
 	}
 	vectors := p.Vectors()
-	// The fault-free machine does not depend on the bridge conductance, so
-	// the whole sweep shares one good trace — normally the one the pipeline
-	// switch-sim stage already captured; at worst one extra capture here.
-	trace, err := p.GoodTrace(context.Background())
-	if err != nil {
-		return nil, err
-	}
 	reg := p.Config.Obs.Metrics()
 	st := &ResistiveBridgeStudy{
 		Gs:           gs,
@@ -111,8 +105,7 @@ func RunResistiveBridgeStudy(p *Pipeline, gs []float64) (*ResistiveBridgeStudy, 
 			}
 		}
 		st.Simulated[oi] = len(sub.Faults)
-		res, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, sub, vectors,
-			p.Config.Workers, gs[oi], reg, trace, nil)
+		res, err := switchsim.SimulateFaults(ctx, p.Circuit, sub, vectors, p.Config.Workers, gs[oi], reg, nil)
 		if err != nil {
 			return nil, err
 		}

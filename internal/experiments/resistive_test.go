@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"defectsim/internal/fault"
@@ -20,15 +21,10 @@ func exhaustiveSweep(t *testing.T, p *Pipeline, gs []float64) ([]float64, []floa
 		}
 	}
 	vectors := p.Vectors()
-	trace, err := p.GoodTrace(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
 	voltage := make([]float64, len(gs))
 	iddq := make([]float64, len(gs))
 	for i, g := range gs {
-		res, _, err := switchsim.SimulateFaults(context.Background(), p.Circuit, bridges, vectors,
-			1, g, nil, trace, nil)
+		res, err := switchsim.SimulateFaults(context.Background(), p.Circuit, bridges, vectors, 1, g, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +50,7 @@ func TestResistiveSweepDroppingMatchesExhaustive(t *testing.T) {
 		// Default grid plus extra points straddling the device drive
 		// strengths (6–8), where strength fights flip outcome.
 		gs := []float64{switchsim.BridgeG, 40, 20, 9, 6.5, 5, 3, 1.5, 0.3}
-		st, err := RunResistiveBridgeStudy(p, gs)
+		st, err := RunResistiveBridgeStudy(context.Background(), p, gs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,11 +84,11 @@ func TestResistiveSweepUnsortedGs(t *testing.T) {
 	}
 	sorted := []float64{20, 5, 1.5}
 	shuffled := []float64{5, 1.5, 20}
-	a, err := RunResistiveBridgeStudy(p, sorted)
+	a, err := RunResistiveBridgeStudy(context.Background(), p, sorted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunResistiveBridgeStudy(p, shuffled)
+	b, err := RunResistiveBridgeStudy(context.Background(), p, shuffled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,5 +107,20 @@ func TestResistiveSweepUnsortedGs(t *testing.T) {
 		if av != bv || ai != bi {
 			t.Fatalf("g=%g: sorted run %.6f/%.6f, shuffled run %.6f/%.6f", g, av, ai, bv, bi)
 		}
+	}
+}
+
+// TestResistiveBridgeStudyCancelled: the sweep's campaigns poll the
+// study's context, so a cancelled sweep returns its error instead of
+// simulating every conductance point.
+func TestResistiveBridgeStudyCancelled(t *testing.T) {
+	p, err := Run(netlist.RippleAdder(4), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if st, err := RunResistiveBridgeStudy(ctx, p, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned %+v, %v; want context.Canceled", st, err)
 	}
 }

@@ -31,8 +31,8 @@ type BridgeTopUp struct {
 
 // RunBridgeTopUp attacks up to maxTargets of the heaviest undetected
 // bridges and re-scores the whole campaign with the verified vectors
-// appended. The context reaches every constrained search, the good trace
-// and the re-score campaign; when it ends the study stops and returns the
+// appended. The context reaches every constrained search and the
+// re-score campaign; when it ends the study stops and returns the
 // context's error.
 func RunBridgeTopUp(ctx context.Context, p *Pipeline, maxTargets int) (*BridgeTopUp, error) {
 	t := &BridgeTopUp{}
@@ -101,19 +101,13 @@ func RunBridgeTopUp(ctx context.Context, p *Pipeline, maxTargets int) (*BridgeTo
 		return t, nil
 	}
 
-	// Re-score the full campaign with the extra vectors appended. The
-	// pipeline's good trace covers the original prefix; the campaign
-	// extends a copy of it over the appended tail.
+	// Re-score the full campaign with the extra vectors appended.
 	base := p.Vectors()
 	vectors := make([]switchsim.Vector, 0, len(base)+len(extra))
 	vectors = append(vectors, base...)
 	vectors = append(vectors, extra...)
-	trace, err := p.GoodTrace(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := switchsim.SimulateFaults(ctx, p.Circuit, p.Faults, vectors,
-		p.Config.Workers, switchsim.BridgeG, p.Config.Obs.Metrics(), trace, p.switchMemo())
+	res, err := switchsim.SimulateFaults(ctx, p.Circuit, p.Faults, vectors,
+		p.Config.Workers, switchsim.BridgeG, p.Config.Obs.Metrics(), p.switchMemo())
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -119,7 +120,7 @@ func TestMaxwellAitkenStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunMaxwellAitken(p)
+	st, err := RunMaxwellAitken(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +137,20 @@ func TestMaxwellAitkenStudy(t *testing.T) {
 	}
 	if !strings.Contains(st.Render(), "ABL-7") {
 		t.Fatal("render")
+	}
+}
+
+// TestMaxwellAitkenCancelled: the study's campaign on the compacted set
+// polls its context, so a cancelled study returns the context's error.
+func TestMaxwellAitkenCancelled(t *testing.T) {
+	p, err := Run(netlist.RippleAdder(4), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if st, err := RunMaxwellAitken(ctx, p); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled study returned %+v, %v; want context.Canceled", st, err)
 	}
 }
 
@@ -171,7 +186,7 @@ func TestResistiveBridgeStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunResistiveBridgeStudy(p, nil)
+	st, err := RunResistiveBridgeStudy(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

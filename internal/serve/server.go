@@ -15,10 +15,10 @@
 //   - Deduplication: concurrent submissions with the same coalescing key
 //     (experiments.CacheKey — circuit + result-determining config — plus
 //     the execution budgets, Deadline and StageBudgets) coalesce onto one
-//     job, sharing one pipeline run — and one good-machine trace — instead
-//     of N identical ones. The budgets participate because coalesced
-//     submitters share the live run's fate: a request with different
-//     budgets must not inherit another request's degradation or deadline.
+//     job, sharing one pipeline run instead of N identical ones. The
+//     budgets participate because coalesced submitters share the live
+//     run's fate: a request with different budgets must not inherit
+//     another request's degradation or deadline.
 //   - Per-request deadlines map onto experiments.Config.Deadline and
 //     StageBudgets, so a slow stage degrades the job (or fails it with a
 //     typed error) instead of hanging a connection.

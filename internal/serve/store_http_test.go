@@ -13,7 +13,9 @@ import (
 
 	"defectsim/internal/experiments"
 	"defectsim/internal/faultinject"
+	"defectsim/internal/layout"
 	"defectsim/internal/store"
+	"defectsim/internal/switchsim"
 )
 
 // envelopeFor runs the pipeline once in-process and returns the cache key
@@ -188,82 +190,122 @@ func TestStorePutInconsistentEnvelope(t *testing.T) {
 	}
 }
 
-// TestStorePutPoisonedTraceNDetect PUTs a checksum-valid c17 envelope
-// whose persisted good trace holds the value 9 on every signal net, then
-// runs POST /v1/ndetect on it: the store hit drops the trace instead of
-// scoring the study against it, and the job finishes done with the Θ(n) of
-// the reference run.
+// goodTraceRows returns the good_trace rows a version-3 entry of p once
+// carried: the fault-free machine's state before the first vector and
+// after each, one byte per net.
+func goodTraceRows(p *experiments.Pipeline) [][]byte {
+	m := switchsim.NewMachine(p.Circuit)
+	row := func() []byte {
+		out := make([]byte, p.Circuit.NumNets)
+		for n := range out {
+			out[n] = byte(m.Val(n))
+		}
+		return out
+	}
+	rows := [][]byte{row()}
+	for _, vec := range p.Vectors() {
+		m.Apply(vec)
+		rows = append(rows, row())
+	}
+	return rows
+}
+
+// TestStorePutPoisonedTraceNDetect PUTs checksum-valid c17 envelopes
+// carrying a good_trace field, as entries written before the campaign
+// stepped its own fault-free machine did — the fault-free states, and
+// three shapes no fault-free machine produces — and runs POST /v1/ndetect
+// on each: the payload parser ignores the field, so the job is served
+// from the stored envelope and finishes done with the Θ(n) of the
+// reference run.
 func TestStorePutPoisonedTraceNDetect(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, CacheDir: t.TempDir()})
 	const pipeline = `{"circuit":"c17","random_vectors":4}`
-	key, env := envelopeFor(t, pipeline, s.cfg)
-	version, payload, err := store.Open(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(payload, &fields); err != nil {
-		t.Fatal(err)
-	}
-	var rows [][]byte
-	if err := json.Unmarshal(fields["good_trace"], &rows); err != nil || len(rows) < 2 {
-		t.Fatalf("envelope carries no good trace to poison (rows=%d err=%v)", len(rows), err)
-	}
-	for _, row := range rows[1:] {
-		for n := 2; n < len(row); n++ {
-			row[n] = 9
-		}
-	}
-	if fields["good_trace"], err = json.Marshal(rows); err != nil {
-		t.Fatal(err)
-	}
-	if payload, err = json.Marshal(fields); err != nil {
-		t.Fatal(err)
-	}
-	poisoned, err := store.Seal(version, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, body := doReq(t, http.MethodPut, ts.URL+"/v1/store/"+key, poisoned); code != http.StatusCreated {
-		t.Fatalf("PUT = %d, want 201; body: %s", code, body)
-	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(rows [][]byte)
+	}{
+		{"valid rows", func([][]byte) {}},
+		{"value 9", func(rows [][]byte) {
+			for _, row := range rows[1:] {
+				for n := 2; n < len(row); n++ {
+					row[n] = 9
+				}
+			}
+		}},
+		{"GND at V1", func(rows [][]byte) {
+			for _, row := range rows {
+				row[layout.NetGND] = byte(switchsim.V1)
+			}
+		}},
+		{"first state not the reset state", func(rows [][]byte) { copy(rows[0], rows[1]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, CacheDir: t.TempDir()})
+			_, cfg, nl, err := DecodeRequest([]byte(pipeline), s.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := experiments.RunCtx(context.Background(), nl, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, err := ref.EncodeCache()
+			if err != nil {
+				t.Fatal(err)
+			}
+			version, payload, err := store.Open(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(payload, &fields); err != nil {
+				t.Fatal(err)
+			}
+			rows := goodTraceRows(ref)
+			tc.mutate(rows)
+			if fields["good_trace"], err = json.Marshal(rows); err != nil {
+				t.Fatal(err)
+			}
+			if payload, err = json.Marshal(fields); err != nil {
+				t.Fatal(err)
+			}
+			traced, err := store.Seal(version, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := experiments.CacheKey(nl.Name, cfg)
+			if code, body := doReq(t, http.MethodPut, ts.URL+"/v1/store/"+key, traced); code != http.StatusCreated {
+				t.Fatalf("PUT = %d, want 201; body: %s", code, body)
+			}
 
-	code, _, data := post(t, ts.URL+"/v1/ndetect", `{"circuit":"c17","random_vectors":4,"n":4}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit = %d, want 202; body: %s", code, data)
-	}
-	id := decode[jobStatus](t, data).ID
-	code, data = waitResult(t, ts, id)
-	if code != http.StatusOK {
-		t.Fatalf("result = %d, want 200; body: %s", code, data)
-	}
-	if _, data := get(t, ts.URL+"/v1/pipeline/"+id); decode[jobStatus](t, data).State != "done" {
-		t.Fatalf("job status: %s", data)
-	}
-	res := decode[jobResult](t, data)
-	if !res.CacheHit {
-		t.Fatal("the study did not run on the stored envelope")
-	}
-
-	_, cfg, nl, err := DecodeRequest([]byte(pipeline), s.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := experiments.RunCtx(context.Background(), nl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := experiments.RunNDetectStudy(context.Background(), ref, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.NDetect) != len(want.Theta) {
-		t.Fatalf("%d sweep levels, want %d", len(res.NDetect), len(want.Theta))
-	}
-	for i, lv := range res.NDetect {
-		if lv.Theta != want.Theta[i] {
-			t.Fatalf("Θ(n=%d) = %v, the reference run's is %v", lv.N, lv.Theta, want.Theta[i])
-		}
+			code, _, data := post(t, ts.URL+"/v1/ndetect", `{"circuit":"c17","random_vectors":4,"n":4}`)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit = %d, want 202; body: %s", code, data)
+			}
+			id := decode[jobStatus](t, data).ID
+			code, data = waitResult(t, ts, id)
+			if code != http.StatusOK {
+				t.Fatalf("result = %d, want 200; body: %s", code, data)
+			}
+			if _, data := get(t, ts.URL+"/v1/pipeline/"+id); decode[jobStatus](t, data).State != "done" {
+				t.Fatalf("job status: %s", data)
+			}
+			res := decode[jobResult](t, data)
+			if !res.CacheHit {
+				t.Fatal("the study did not run on the stored envelope")
+			}
+			want, err := experiments.RunNDetectStudy(context.Background(), ref, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.NDetect) != len(want.Theta) {
+				t.Fatalf("%d sweep levels, want %d", len(res.NDetect), len(want.Theta))
+			}
+			for i, lv := range res.NDetect {
+				if lv.Theta != want.Theta[i] {
+					t.Fatalf("Θ(n=%d) = %v, the reference run's is %v", lv.N, lv.Theta, want.Theta[i])
+				}
+			}
+		})
 	}
 }
 

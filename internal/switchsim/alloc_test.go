@@ -60,10 +60,7 @@ func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
 	nl := netlist.RippleAdder(4)
 	list, c := buildCampaign(t, nl)
 	vecs := randomVectors(len(nl.PIs), 8, 3)
-	good := NewMachine(c)
-	for _, v := range vecs[:4] {
-		good.Apply(v)
-	}
+	good := runGood(c, vecs)
 	memo := newCCCMemo(c)
 	shapes := newSeedClasses(c, memo, nil)
 	// The first three simulable faults, and the first three whose settles
@@ -82,7 +79,7 @@ func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
 			osc = !m.Apply(v) || osc
 		}
 		if len(lives) < 3 || osc && oscillating < 3 {
-			lv := &live{idx: i, plan: p, val: append([]Val(nil), good.val...)}
+			lv := &live{idx: i, plan: p, val: append([]Val(nil), good.states[4]...)}
 			lv.seeds.class = shapes.add(p, nil)
 			lives = append(lives, lv)
 			if osc {
@@ -93,11 +90,7 @@ func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
 			break
 		}
 	}
-	trace, err := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logs := traceLogs(c, memo, trace, vecs)
+	logs := goodLogs(t, c, memo, good, vecs)
 	w := &worker{m: NewMachine(c)}
 	w.m.memo, w.m.classes = memo, &seedTable{}
 	w.home = w.m.val
@@ -107,7 +100,7 @@ func TestSwappedFaultValuesZeroAllocs(t *testing.T) {
 				w.advance(lv, BridgeG, v, nil, nil, &eventLog{})
 			}
 			for k, v := range vecs {
-				w.advance(lv, BridgeG, v, trace.States[k], trace.States[k+1], logs[k])
+				w.advance(lv, BridgeG, v, good.states[k], good.states[k+1], logs[k])
 			}
 		}
 		w.m.classes.take(&w.m.fresh)
@@ -302,9 +295,9 @@ func oracleCircuits() []oracleCircuit {
 
 // TestPooledReuseBitwiseIdenticalToFreshMachines is the property test the
 // per-worker machines, the CCC memo and the seed memos must never break:
-// for any worker count, with a captured or a given trace, and at a hard
-// and a weak bridge conductance, the campaign's Result is bitwise
-// identical to the fresh-machine relaxation reference. Run under -race by
+// for any worker count, and at a hard and a weak bridge conductance, the
+// campaign's Result is bitwise identical to the fresh-machine relaxation
+// reference. Run under -race by
 // the tier-2 pass, it also exercises concurrent installs on the worker
 // machines and concurrent memo fills.
 func TestPooledReuseBitwiseIdenticalToFreshMachines(t *testing.T) {
@@ -313,24 +306,18 @@ func TestPooledReuseBitwiseIdenticalToFreshMachines(t *testing.T) {
 		list, c := buildCampaign(t, nl)
 		vecs := randomVectors(len(nl.PIs), oc.vectors, 7)
 		want := freshMachineCampaign(c, list, vecs, BridgeG, 0)
-		trace, _ := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
 		for _, w := range []int{1, 4, runtime.NumCPU()} {
-			res, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, nil, nil)
+			res, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", nl.Name, w, err)
 			}
-			sameResult(t, nl.Name+" untraced", want, res)
-			tres, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, nil, trace, nil)
-			if err != nil {
-				t.Fatalf("%s workers=%d traced: %v", nl.Name, w, err)
-			}
-			sameResult(t, nl.Name+" traced", want, tres)
+			sameResult(t, nl.Name, want, res)
 		}
 		// A resistive bridge changes only how its seed CCCs relax; the
 		// memo serves every other CCC at any conductance.
 		const weak = 1.5
 		want = freshMachineCampaign(c, list, vecs, weak, 0)
-		res, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, weak, nil, trace, nil)
+		res, err := SimulateFaults(context.Background(), c, list, vecs, 0, weak, nil, nil)
 		if err != nil {
 			t.Fatalf("%s resistive: %v", nl.Name, err)
 		}
@@ -358,7 +345,7 @@ func TestPooledReuseCancelMatchesFreshMachines(t *testing.T) {
 			}
 			return nil
 		})
-		res, _, err := SimulateFaults(ctx, c, list, vecs, w, BridgeG, nil, nil, nil)
+		res, err := SimulateFaults(ctx, c, list, vecs, w, BridgeG, nil, nil)
 		restore()
 		cancel()
 		if !errors.Is(err, context.Canceled) {

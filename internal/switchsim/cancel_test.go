@@ -40,7 +40,7 @@ func TestSimulateFaultsCtxCancelMidRun(t *testing.T) {
 	})
 	defer restore()
 
-	res, _, err := SimulateFaults(ctx, c, list, vecs, 0, BridgeG, nil, nil, nil)
+	res, err := SimulateFaults(ctx, c, list, vecs, 0, BridgeG, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -63,7 +63,7 @@ func TestSimulateFaultsCtxCancelMidRun(t *testing.T) {
 	}
 
 	// The partial prefix must agree with an uncancelled run.
-	full, _, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil, nil)
+	full, err := SimulateFaults(context.Background(), c, list, vecs, 0, BridgeG, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

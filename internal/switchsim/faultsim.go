@@ -301,8 +301,8 @@ type Result struct {
 	VectorsApplied int
 	// GoodUnsettledAt is the 1-based vector index at which the fault-free
 	// machine failed to settle (0 = never). Simulation stops there — the
-	// good trace is untrustworthy beyond it — and every still-live fault
-	// becomes Undecided.
+	// fault-free reference is untrustworthy from it on — and every
+	// still-live fault becomes Undecided.
 	GoodUnsettledAt int
 }
 
@@ -339,28 +339,22 @@ func (r *Result) DetectedBy(k int, iddq bool) []bool {
 const oscStrikeLimit = 3
 
 // SimulateFaults runs the fault list against the vector sequence on
-// circuit c and returns the result together with the good trace it ran
-// on. Detection is static voltage observation at the primary outputs: a
-// fault is detected by vector k when some PO is definite (0/1) in both the
-// good and faulty machine and the values differ — X outputs never detect
-// (the paper's "steady-state voltage measurement" pessimism). Detected
-// faults are dropped; the good/faulty state-sharing fast path keeps
-// undetected faults cheap while they shadow the good machine.
+// circuit c. Detection is static voltage observation at the primary
+// outputs: a fault is detected by vector k when some PO is definite (0/1)
+// in both the good and faulty machine and the values differ — X outputs
+// never detect (the paper's "steady-state voltage measurement"
+// pessimism). Detected faults are dropped; the good/faulty state-sharing
+// fast path keeps undetected faults cheap while they shadow the good
+// machine.
 //
-// The fault-free machine's values come from a GoodTrace. With trace nil
-// the campaign captures one up front (a swsim_goodtrace_misses event; its
-// footprint lands in swsim_goodtrace_bytes); a given trace counts one
-// swsim_goodtrace_hits event and must have been captured on c over a
-// vector sequence agreeing with vectors on their common prefix (a skew is
-// an error before any simulation). A trace shorter than vectors is
-// extended over the rest into a new trace; the given one is read shared
-// and never written, so any number of concurrent campaigns may use it.
-// The returned trace is complete (reusable by later campaigns) unless the
-// context ended the capture early.
+// The campaign steps one fault-free machine of its own, a vector ahead
+// of the fault machines: every fault is scored against that single
+// reference, and its logged settle of each vector is what diverged faults
+// walk.
 //
 // workers sets the number of goroutines advancing fault machines (≤ 0
 // selects runtime.NumCPU() via the shared internal/par policy). Fault
-// machines are independent given the good trace, so the result is
+// machines are independent given the good machine, so the result is
 // identical for any worker count. bridgeG is the bridge conductance
 // (BridgeG, or another value for resistive-bridge studies).
 //
@@ -384,8 +378,8 @@ const oscStrikeLimit = 3
 // run: simulation stops at that vector, the event lands in
 // Result.GoodUnsettledAt, and live faults become Undecided. Vectors that
 // do not fit c (see checkVectors) return an error before any simulation.
-func SimulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry, trace *GoodTrace, shared *Memo) (*Result, *GoodTrace, error) {
-	return simulateFaults(ctx, c, list, vectors, workers, bridgeG, reg, trace, shared, minWalkPops)
+func SimulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry, shared *Memo) (*Result, error) {
+	return simulateFaults(ctx, c, list, vectors, workers, bridgeG, reg, shared, minWalkPops)
 }
 
 // minWalkPops is the fewest pops the good machine's settle of a vector
@@ -405,14 +399,9 @@ const minWalkPops = 64
 // log of a vector whose good settle made at least walkFrom pops, and take
 // the plain Apply on the others: 0 walks every usable log, math.MaxInt
 // none (the reference the walk is pinned against).
-func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry, trace *GoodTrace, shared *Memo, walkFrom int) (*Result, *GoodTrace, error) {
+func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List, vectors []Vector, workers int, bridgeG float64, reg *obs.Registry, shared *Memo, walkFrom int) (*Result, error) {
 	if err := checkVectors(c, vectors); err != nil {
-		return nil, nil, err
-	}
-	if trace != nil {
-		if err := trace.validateFor(c, vectors); err != nil {
-			return nil, nil, err
-		}
+		return nil, err
 	}
 	res := &Result{
 		DetectedAt: make([]int, len(list.Faults)),
@@ -438,11 +427,11 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 	if reg != nil {
 		hDetectAt = reg.Histogram("swsim_vectors_to_detect", obs.ExpBuckets(1, 2, 10))
 	}
-	// One CCC memo serves the whole campaign: the good machine that
-	// captures or extends the trace and every worker machine replay
-	// plan-free CCC solves from it. One class table serves every fault's
-	// seed solves, keyed by the classes interned once per seed, in front
-	// of the entries the memo published before the campaign started.
+	// One CCC memo serves the whole campaign: the good machine and every
+	// worker machine replay plan-free CCC solves from it. One class table
+	// serves every fault's seed solves, keyed by the classes interned once
+	// per seed, in front of the entries the memo published before the
+	// campaign started.
 	su := shared.setup(c, list, bridgeG)
 	memo, plans, verdicts, seedClass := su.ccc, su.plans, su.verdicts, su.class
 	classes := &seedTable{base: su.base}
@@ -521,41 +510,32 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		return res
 	}
 
-	var err error
-	if trace == nil {
-		reg.Counter("swsim_goodtrace_misses").Inc()
-		if trace, err = extendTrace(ctx, c, memo, nil, vectors); err == nil {
-			reg.Gauge("swsim_goodtrace_bytes").Set(float64(trace.Bytes()))
-		}
-	} else {
-		reg.Counter("swsim_goodtrace_hits").Inc()
-		trace, err = extendTrace(ctx, c, memo, trace, vectors)
-	}
-	if err != nil {
-		return stop(0), trace, err
-	}
-
-	// The fault-free settle of each vector, logged for the diverged faults
-	// to walk; its machine is made when a fault first diverges.
+	// The fault-free machine steps each vector before the workers do:
+	// goodPrev keeps its state before the vector, and its settle, logged
+	// for the diverged faults to walk, leaves it in the state after.
+	good := NewMachine(c)
+	good.memo = memo
+	goodPrev := make([]Val, c.NumNets)
 	var lg eventLog
-	var logger *Machine
 	drop := make([]bool, len(lives))
 	for k, vec := range vectors {
 		if err := faultinject.Fire(ctx, faultinject.HookSwitchSimVector); err != nil {
-			return stop(k), trace, err
+			return stop(k), err
 		}
 		if err := ctx.Err(); err != nil {
-			return stop(k), trace, err
+			return stop(k), err
 		}
-		if trace.UnsettledAt == k+1 {
-			// The fault-free machine failed to settle here: its trace is
-			// untrustworthy from this vector on, so degrade instead of
-			// failing the whole campaign.
+		copy(goodPrev, good.val)
+		if !lg.record(good, vec) {
+			// The fault-free machine failed to settle here: there is no
+			// trustworthy reference from this vector on, so degrade instead
+			// of failing the whole campaign.
 			res.GoodUnsettledAt = k + 1
 			reg.Counter("swsim_good_unsettled").Inc()
-			return stop(k), trace, nil
+			return stop(k), nil
 		}
-		goodPrev, goodVal := trace.States[k], trace.States[k+1]
+		lg.ok = lg.ok && len(lg.push) >= walkFrom
+		goodVal := good.val
 
 		// IDDQ screening of bridges (needs only good values): quiescent
 		// current flows when the bridged nodes are driven to opposite
@@ -568,16 +548,6 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 			if va != VX && vb != VX && va != vb {
 				res.IDDQAt[i] = k + 1
 			}
-		}
-
-		lg.ok = false
-		if anyDiverged(lives) {
-			if logger == nil {
-				logger = NewMachine(c)
-				logger.memo = memo
-			}
-			lg.record(logger, vec, goodPrev, goodVal)
-			lg.ok = lg.ok && len(lg.push) >= walkFrom
 		}
 
 		// Advance every live fault; each fault touches only its own values
@@ -631,7 +601,7 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 						// First divergence: the fault keeps its values.
 						w.promote(lv)
 					case equalVals(lv.val, goodVal):
-						// Re-converged: the trace holds its state again.
+						// Re-converged: its state is the good one again.
 						w.release(lv)
 					}
 				}
@@ -671,7 +641,7 @@ func simulateFaults(ctx context.Context, c *transistor.Circuit, list *fault.List
 		lives = keep
 	}
 	finalize(len(vectors))
-	return res, trace, nil
+	return res, nil
 }
 
 // live is one not-yet-resolved fault in the campaign loop. It owns only
@@ -718,16 +688,6 @@ func (w *worker) advance(lv *live, bridgeG float64, vec Vector, goodPrev, goodVa
 		return w.m.walk(vec, lg)
 	}
 	return w.m.Apply(vec)
-}
-
-// anyDiverged reports whether some live fault owns values of its own.
-func anyDiverged(lives []*live) bool {
-	for _, lv := range lives {
-		if lv.val != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // promote hands the home vector, which now holds clean fault lv's
@@ -788,11 +748,10 @@ func checkVectors(c *transistor.Circuit, vectors []Vector) error {
 }
 
 // equalVals reports whether a and b hold identical values, eight at a
-// time. Slices of different lengths never compare equal: a
-// good-trace/machine size skew then merely forfeits the shared-state
-// fast path (the machine keeps advancing through the exact Apply path)
-// instead of panicking mid-campaign — and the skew itself is rejected up
-// front by GoodTrace.validateFor and the ApplyFromGood width check.
+// time. Slices of different lengths never compare equal: a size skew
+// then merely forfeits the shared-state fast path (the machine keeps
+// advancing through the exact Apply path) instead of panicking
+// mid-campaign.
 func equalVals(a, b []Val) bool {
 	if len(a) != len(b) {
 		return false

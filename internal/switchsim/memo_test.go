@@ -142,28 +142,19 @@ func TestMemoTableMatchesRelaxation(t *testing.T) {
 // memo served, "class" those the class table served and "relax" every
 // real relaxation. A seed memo is private to its fault, the class table
 // changes only between vectors and the event log is written before the
-// workers step a vector, so every count is the same for any worker count
-// and with a captured or a given trace, and a campaign walking every
-// usable log serves most solves from the tables and the log. The walk
-// leaves every pop in place, so the campaign with every diverged step on
-// the plain Apply makes the same seed, class and relaxation solves and
-// fast-forwards, and its table solves are the walk's table and replay
-// pops together.
+// workers step a vector, so every count is the same for any worker
+// count, and a campaign walking every usable log serves most solves
+// from the tables and the log. The walk leaves every pop in place, so
+// the campaign with every diverged step on the plain Apply makes the
+// same seed, class and relaxation solves and fast-forwards, and its
+// table solves are the walk's table and replay pops together.
 func TestCCCSolveCountsWorkerInvariant(t *testing.T) {
 	nl := wideStages()
 	list, c := buildCampaign(t, nl)
 	vecs := randomVectors(len(nl.PIs), 32, 5)
-	trace, err := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := func(workers int, traced bool, walkFrom int) solveCounts {
+	counts := func(workers, walkFrom int) solveCounts {
 		reg := obs.NewRegistry()
-		tr := trace
-		if !traced {
-			tr = nil
-		}
-		if _, _, err := simulateFaults(context.Background(), c, list, vecs, workers, BridgeG, reg, tr, nil, walkFrom); err != nil {
+		if _, err := simulateFaults(context.Background(), c, list, vecs, workers, BridgeG, reg, nil, walkFrom); err != nil {
 			t.Fatal(err)
 		}
 		v := reg.CounterVec("swsim_ccc_solves", "path")
@@ -171,18 +162,16 @@ func TestCCCSolveCountsWorkerInvariant(t *testing.T) {
 			v.With("replay").Value(), reg.Counter("swsim_settle_fastforwards_total").Value(),
 			reg.Counter("swsim_walk_handovers_total").Value()}
 	}
-	want := counts(1, false, 0)
+	want := counts(1, 0)
 	if want.seed == 0 || want.class == 0 || want.relax == 0 || want.replay == 0 || want.table+want.replay <= want.relax {
 		t.Fatalf("swsim_ccc_solves: %+v; want seed, class, relax and replay > 0 and table + replay > relax", want)
 	}
 	for _, w := range []int{4, 0} {
-		for _, traced := range []bool{false, true} {
-			if got := counts(w, traced, 0); got != want {
-				t.Fatalf("workers=%d traced=%v: counts %+v, want %+v", w, traced, got, want)
-			}
+		if got := counts(w, 0); got != want {
+			t.Fatalf("workers=%d: counts %+v, want %+v", w, got, want)
 		}
 	}
-	plain := counts(1, false, math.MaxInt)
+	plain := counts(1, math.MaxInt)
 	if plain.seed != want.seed || plain.class != want.class || plain.relax != want.relax || plain.forward != want.forward ||
 		plain.table != want.table+want.replay || plain.replay != 0 || plain.hand != 0 {
 		t.Fatalf("every diverged step on the plain path: counts %+v; the walk's %+v", plain, want)
@@ -208,14 +197,14 @@ type walkHooks struct {
 // equals the good machine's, full applies once it diverges, until it is
 // detected or strikes out. Every settle is stepped plainly: one
 // relaxation per popped CCC, no cycle search, within settle's budget.
-func walkFault(m *Machine, trace *GoodTrace, vecs []Vector, h *walkHooks) {
+func walkFault(m *Machine, good *goodRun, vecs []Vector, h *walkHooks) {
 	m.ensureScratch()
 	clean, strikes := true, 0
 	for k, vec := range vecs {
-		if trace.UnsettledAt == k+1 {
+		if good.unsettledAt == k+1 {
 			return
 		}
-		goodPrev, goodPost := trace.States[k], trace.States[k+1]
+		goodPrev, goodPost := good.states[k], good.states[k+1]
 		if clean {
 			m.scheduleFromGood(goodPost, goodPrev, false)
 		} else {
@@ -284,13 +273,13 @@ func oracleFaults(c *transistor.Circuit, list *fault.List) []*faultPlan {
 }
 
 // oracleSetup is one oracle circuit's campaign inputs: its fault plans,
-// vectors, good trace and CCC memo.
+// vectors, good machine's trajectory and CCC memo.
 type oracleSetup struct {
 	name  string
 	c     *transistor.Circuit
 	plans []*faultPlan
 	vecs  []Vector
-	trace *GoodTrace
+	good  *goodRun
 	memo  *cccMemo
 }
 
@@ -312,11 +301,7 @@ func oracleSetups(t *testing.T) []oracleSetup {
 func newOracleSetup(t *testing.T, nl *netlist.Netlist, n int) oracleSetup {
 	list, c := buildCampaign(t, nl)
 	vecs := randomVectors(len(nl.PIs), n, 11)
-	trace, err := CaptureGoodTraceCtx(context.Background(), c, vecs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return oracleSetup{nl.Name, c, oracleFaults(c, list), vecs, trace, newCCCMemo(c)}
+	return oracleSetup{nl.Name, c, oracleFaults(c, list), vecs, runGood(c, vecs), newCCCMemo(c)}
 }
 
 // seedOracle checks every seed-group solve of a walk against the seed
@@ -389,7 +374,7 @@ func TestSeedMemoMatchesRelaxation(t *testing.T) {
 				o.memo.classes = classes
 				o.memo.install(plan, g, &seedMemo{class: shapes.add(plan, nil)})
 				o.memo.ensureScratch()
-				walkFault(o.ref, s.trace, s.vecs, &walkHooks{solve: o.solve, solved: o.solved})
+				walkFault(o.ref, s.good, s.vecs, &walkHooks{solve: o.solve, solved: o.solved})
 				classes.take(&o.memo.fresh)
 				hits += o.hits
 				classHits += o.classHits
@@ -482,7 +467,7 @@ func classWalk(t *testing.T, s oracleSetup, g float64, ids *classIDs, table map[
 				}
 			},
 		}
-		walkFault(ref, s.trace, s.vecs, h)
+		walkFault(ref, s.good, s.vecs, h)
 	}
 	return checks, widest, members
 }

@@ -28,13 +28,13 @@ func TestMemoCampaignsBitwiseIdentical(t *testing.T) {
 		other := shared.Design(c, &fault.List{Faults: list.Faults})
 		for _, g := range []float64{BridgeG, 1.5} {
 			for _, w := range []int{1, 2} {
-				want, _, err := SimulateFaults(context.Background(), c, list, vecs, w, g, nil, nil, nil)
+				want, err := SimulateFaults(context.Background(), c, list, vecs, w, g, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, m := range []*Memo{shared, design, design, other} {
 					before := entries.Value()
-					got, _, err := SimulateFaults(context.Background(), c, list, vecs, w, g, nil, nil, m)
+					got, err := SimulateFaults(context.Background(), c, list, vecs, w, g, nil, m)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -62,7 +62,7 @@ func TestMemoCancelledBeforeAnyVector(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	shared := NewMemo(nil)
-	res, _, err := SimulateFaults(ctx, c, list, randomVectors(len(c.PIs), 4, 1), 1, BridgeG, nil, nil, shared)
+	res, err := SimulateFaults(ctx, c, list, randomVectors(len(c.PIs), 4, 1), 1, BridgeG, nil, shared)
 	if !errors.Is(err, context.Canceled) || res == nil || res.VectorsApplied != 0 {
 		t.Fatalf("err = %v, result %v; want context.Canceled and a partial result", err, res)
 	}

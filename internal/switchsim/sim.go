@@ -722,9 +722,9 @@ func (m *Machine) applyFromGood(goodPost, goodPrev []Val, stateIsGood bool) bool
 func (m *Machine) scheduleFromGood(goodPost, goodPrev []Val, stateIsGood bool) {
 	if len(goodPost) != len(m.val) || len(goodPrev) != len(m.val) {
 		// A good state sized for a different circuit would otherwise be
-		// silently truncated by copy below; fail loudly instead. (Public
-		// entry points reject the skew up front via GoodTrace.validateFor,
-		// so this guards direct misuse only.)
+		// silently truncated by copy below; fail loudly instead. (The
+		// campaign's good machine is built on the same circuit, so this
+		// guards direct misuse only.)
 		panic(fmt.Sprintf("switchsim: ApplyFromGood: good state spans %d/%d nets, machine %s has %d",
 			len(goodPost), len(goodPrev), m.c.Name, len(m.val)))
 	}
@@ -927,17 +927,18 @@ func (m *Machine) Outputs() []Val {
 }
 
 // Run applies the vectors in order to a fresh fault-free machine and
-// returns the PO values after each vector. It is the good-circuit
-// switch-level simulation used to cross-validate against gate-level logic
-// simulation.
-func Run(c *transistor.Circuit, vectors []Vector) ([][]Val, error) {
+// returns the PO values after each vector; out[k] is nil when the machine
+// failed to settle on vector k, and it steps on from where the budget
+// left it. It is the good-circuit switch-level simulation used to
+// cross-validate against gate-level logic simulation, and the fault-free
+// reference of the diagnosis replay.
+func Run(c *transistor.Circuit, vectors []Vector) [][]Val {
 	m := NewMachine(c)
 	out := make([][]Val, len(vectors))
 	for i, vec := range vectors {
-		if !m.Apply(vec) {
-			return nil, fmt.Errorf("switchsim: %s did not settle on vector %d", c.Name, i)
+		if m.Apply(vec) {
+			out[i] = m.Outputs()
 		}
-		out[i] = m.Outputs()
 	}
-	return out, nil
+	return out
 }

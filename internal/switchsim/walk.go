@@ -10,12 +10,12 @@ import (
 // the queue entries in push order (entry e, 1-based, is CCC push[e-1],
 // and a FIFO pops in push order, so pop e pops entry e), the entries each
 // pop pushed (pop 0 is the schedule) and the nets each pop changed, with
-// their new values. SimulateFaults re-runs the settle from the trace's
-// pre-vector state once per vector, before the workers step it, and
-// diverged faults walk the log (walk) instead of settling the whole
-// circuit; it is only read while they do.
+// their new values. SimulateFaults records it as its good machine steps
+// each vector, before the workers step it, and diverged faults walk the
+// log (walk) instead of settling the whole circuit; it is only read while
+// they do.
 type eventLog struct {
-	ok     bool    // the re-run settled at the trace's post-vector state
+	ok     bool    // the settle is logged in full and may be walked
 	pre    []Val   // the good state after the schedule
 	push   []int32 // entry e's CCC is push[e-1]
 	parent []int32 // the pop that pushed entry e is parent[e-1]
@@ -33,13 +33,13 @@ type eventLog struct {
 	at []int32 // record's scratch for the counting sort
 }
 
-// record re-runs the fault-free settle of vec from prev on good (a plain
-// machine carrying the campaign's CCC memo) and logs it. The log is
-// usable (ok) when the settle ends at post, the trace's next state. A
-// settle out of budget, or a schedule that queues every CCC (an all-X
-// state), leaves it unusable, and the vector's diverged steps take the
-// plain path.
-func (lg *eventLog) record(good *Machine, vec Vector, prev, post []Val) {
+// record applies vec to good, a plain machine carrying the campaign's CCC
+// memo, by Apply's settle, logging it, and reports whether the settle
+// converged within its budget. The log is usable (ok) when it did. A
+// schedule that queues every CCC (an all-X state) settles plainly and
+// leaves the log unusable, and the vector's diverged steps take the plain
+// path; so does a settle out of budget, which also ends the campaign.
+func (lg *eventLog) record(good *Machine, vec Vector) bool {
 	g, c := good, good.c
 	g.ensureScratch()
 	if lg.ooff == nil {
@@ -49,7 +49,6 @@ func (lg *eventLog) record(good *Machine, vec Vector, prev, post []Val) {
 	lg.push, lg.parent, lg.pushed = lg.push[:0], lg.parent[:0], append(lg.pushed[:0], 0)
 	lg.wrote, lg.wnet, lg.wval, lg.wpush = append(lg.wrote[:0], 0), lg.wnet[:0], lg.wval[:0], lg.wpush[:0]
 
-	copy(g.val, prev)
 	for i, pi := range c.PIs {
 		if g.val[pi] != vec[i] {
 			g.val[pi] = vec[i]
@@ -57,10 +56,14 @@ func (lg *eventLog) record(good *Machine, vec Vector, prev, post []Val) {
 		}
 	}
 	if g.allX() {
+		// Apply's schedule: the readers queued so far, then every CCC.
 		for _, id := range lg.push {
-			g.inQueue[id] = false
+			g.queue = append(g.queue, int(id))
 		}
-		return
+		for id := range c.CCCs {
+			g.push(id)
+		}
+		return g.settle()
 	}
 	lg.pushed = append(lg.pushed, int32(len(lg.push)))
 	lg.pre = append(lg.pre[:0], g.val...)
@@ -73,7 +76,7 @@ func (lg *eventLog) record(good *Machine, vec Vector, prev, post []Val) {
 			for _, id := range lg.push[t:] {
 				g.inQueue[id] = false
 			}
-			return
+			return false
 		}
 		id := lg.push[t]
 		g.inQueue[id] = false
@@ -89,9 +92,6 @@ func (lg *eventLog) record(good *Machine, vec Vector, prev, post []Val) {
 			lg.wpush = append(lg.wpush, int32(len(lg.push)-e))
 		}
 		lg.pushed = append(lg.pushed, int32(len(lg.push)))
-	}
-	if !slices.Equal(g.val, post) {
-		return
 	}
 	lg.ok = true
 
@@ -109,6 +109,7 @@ func (lg *eventLog) record(good *Machine, vec Vector, prev, post []Val) {
 		lg.occ[lg.at[x]] = int32(e + 1)
 		lg.at[x]++
 	}
+	return true
 }
 
 // init sizes the log's per-CCC entry index for c and lists each CCC's

@@ -1,7 +1,6 @@
 package switchsim
 
 import (
-	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,15 +10,21 @@ import (
 	"defectsim/internal/transistor"
 )
 
-// traceLogs records the event log of every vector trace settles, as the
-// campaign does before its workers step the vector.
-func traceLogs(c *transistor.Circuit, memo *cccMemo, trace *GoodTrace, vecs []Vector) []*eventLog {
-	good := NewMachine(c)
-	good.memo = memo
-	logs := make([]*eventLog, trace.Applied())
+// goodLogs records the event log of every vector good settles on a
+// machine carrying memo, as the campaign's good machine does before its
+// workers step the vector, and fails unless each logged settle lands on
+// good's next state.
+func goodLogs(t testing.TB, c *transistor.Circuit, memo *cccMemo, good *goodRun, vecs []Vector) []*eventLog {
+	t.Helper()
+	m := NewMachine(c)
+	m.memo = memo
+	logs := make([]*eventLog, len(good.states)-1)
 	for k := range logs {
+		copy(m.val, good.states[k])
 		logs[k] = new(eventLog)
-		logs[k].record(good, vecs[k], trace.States[k], trace.States[k+1])
+		if !logs[k].record(m, vecs[k]) || !slices.Equal(m.val, good.states[k+1]) {
+			t.Fatalf("%s vector %d: the logged settle misses the plain machine's state", c.Name, k)
+		}
 	}
 	return logs
 }
@@ -135,7 +140,7 @@ func (m *Machine) stepPop(changed []int) []int {
 // that position, from the same inputs.
 func TestDivergedWalkMatchesApply(t *testing.T) {
 	for _, s := range oracleSetups(t) {
-		logs := traceLogs(s.c, s.memo, s.trace, s.vecs)
+		logs := goodLogs(t, s.c, s.memo, s.good, s.vecs)
 		for _, g := range []float64{BridgeG, 1.5} {
 			shapes := newSeedClasses(s.c, s.memo, nil)
 			classes := &seedTable{}
@@ -155,16 +160,16 @@ func TestDivergedWalkMatchesApply(t *testing.T) {
 				ref.ensureScratch()
 				clean, strikes := true, 0
 				for k, vec := range s.vecs {
-					if s.trace.UnsettledAt == k+1 {
+					if s.good.unsettledAt == k+1 {
 						break
 					}
-					prev, post := s.trace.States[k], s.trace.States[k+1]
+					prev, post := s.good.states[k], s.good.states[k+1]
 					var ok bool
 					if clean {
 						ok = pm.applyFromGood(post, prev, false)
 					} else {
 						if !logs[k].ok {
-							t.Fatalf("%s vector %d: the good machine's re-run missed the trace", s.name, k)
+							t.Fatalf("%s vector %d: the good machine's log is unusable", s.name, k)
 						}
 						var h bool
 						w0 := countsOf(wm)
@@ -212,7 +217,7 @@ func FuzzDivergedWalk(f *testing.F) {
 		memo  *cccMemo
 		plans []*faultPlan
 		vecs  []Vector
-		trace *GoodTrace
+		good  *goodRun
 		logs  []*eventLog
 	}
 	var setups []setup
@@ -222,11 +227,8 @@ func FuzzDivergedWalk(f *testing.F) {
 	} {
 		list, c := buildCampaign(f, nl)
 		s := setup{c: c, memo: newCCCMemo(c), plans: oracleFaults(c, list), vecs: randomVectors(len(nl.PIs), 8, 3)}
-		var err error
-		if s.trace, err = CaptureGoodTraceCtx(context.Background(), c, s.vecs, nil); err != nil {
-			f.Fatal(err)
-		}
-		s.logs = traceLogs(c, s.memo, s.trace, s.vecs)
+		s.good = runGood(c, s.vecs)
+		s.logs = goodLogs(f, c, s.memo, s.good, s.vecs)
 		setups = append(setups, s)
 	}
 	f.Add(uint8(0), uint16(0), uint8(1), uint8(3), int64(1), false)
@@ -238,7 +240,7 @@ func FuzzDivergedWalk(f *testing.F) {
 		kv := 1 + int(k)%(len(s.logs)-1)
 		lg := s.logs[kv]
 		if !lg.ok {
-			t.Skip("the good machine's re-run missed the trace")
+			t.Skip("the good machine's log is unusable")
 		}
 		g := BridgeG
 		if weak {
@@ -257,7 +259,7 @@ func FuzzDivergedWalk(f *testing.F) {
 		}
 		wm, pm, ref := machine(s.memo), machine(s.memo), machine(nil)
 		rng := rand.New(rand.NewSource(seed))
-		copy(pm.val, s.trace.States[kv])
+		copy(pm.val, s.good.states[kv])
 		for n := range pm.val {
 			if n != layout.NetGND && n != layout.NetVDD && rng.Intn(256) < int(redraw) {
 				pm.val[n] = Val(rng.Intn(3))

@@ -37,7 +37,7 @@ func TestWorkerNormalizationPolicy(t *testing.T) {
 	var ref *Result
 	for _, w := range []int{-3, 0, 1, 5} {
 		reg := obs.NewRegistry()
-		res, _, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, reg, nil, nil)
+		res, err := SimulateFaults(context.Background(), c, list, vecs, w, BridgeG, reg, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
