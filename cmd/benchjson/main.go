@@ -11,7 +11,9 @@
 // Conversion reads benchmark lines ("BenchmarkName-8  100  123 ns/op ...")
 // from stdin, strips the GOMAXPROCS suffix, and writes one entry per
 // benchmark together with the run's environment header (goos/goarch/cpu,
-// and gomaxprocs from the first benchmark line's suffix).
+// gomaxprocs from the first benchmark line's suffix, and num_cpu, the
+// core count runtime.NumCPU reports to the converting process — so
+// convert on the machine that ran the benchmarks, as CI does).
 //
 // Compare exits non-zero when a benchmark present in both documents got
 // worse than baseline × tolerance on any gated metric. Wall time is gated
@@ -31,8 +33,8 @@
 //
 // Delta prints a GitHub-flavored markdown table of ns/bytes/allocs
 // changes between two documents — for CI job summaries, never a gate.
-// Compare and delta both print each side's gomaxprocs (a document
-// recorded without it reads "unknown"); it never gates.
+// Compare and delta both print each side's gomaxprocs and num_cpu (a
+// document recorded without one reads "unknown"); neither gates.
 package main
 
 import (
@@ -43,6 +45,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,6 +66,7 @@ type Doc struct {
 	GOARCH     string  `json:"goarch,omitempty"`
 	CPU        string  `json:"cpu,omitempty"`
 	GOMAXPROCS int     `json:"gomaxprocs,omitempty"` // go test's -N name suffix (none: 1); 0 is unknown
+	NumCPU     int     `json:"num_cpu,omitempty"`    // runtime.NumCPU() of the converting process; 0 is unknown
 	Benchmarks []Entry `json:"benchmarks"`
 }
 
@@ -71,7 +75,7 @@ type Doc struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
 func parse(r io.Reader) (*Doc, error) {
-	doc := &Doc{}
+	doc := &Doc{NumCPU: runtime.NumCPU()}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -150,13 +154,13 @@ func (o overrides) Set(s string) error {
 	return nil
 }
 
-// procs renders a document's GOMAXPROCS for the compare and delta
-// headers.
-func procs(d *Doc) string {
-	if d.GOMAXPROCS == 0 {
+// known renders a header count (GOMAXPROCS, NumCPU) for the compare and
+// delta headers; 0 means the document was recorded without it.
+func known(v int) string {
+	if v == 0 {
 		return "unknown"
 	}
-	return strconv.Itoa(d.GOMAXPROCS)
+	return strconv.Itoa(v)
 }
 
 // limits holds the gate limits for one benchmark after overrides.
@@ -172,7 +176,8 @@ func compare(w io.Writer, base, cur *Doc, tolerance, allocTolerance float64, ov 
 	for _, e := range base.Benchmarks {
 		baseBy[e.Name] = e
 	}
-	fmt.Fprintf(w, "gomaxprocs: baseline %s, current %s\n", procs(base), procs(cur))
+	fmt.Fprintf(w, "gomaxprocs: baseline %s, current %s; num_cpu: baseline %s, current %s\n",
+		known(base.GOMAXPROCS), known(cur.GOMAXPROCS), known(base.NumCPU), known(cur.NumCPU))
 	var failed []string
 	seen := map[string]bool{}
 	for _, e := range cur.Benchmarks {
@@ -224,7 +229,8 @@ func delta(w io.Writer, prev, cur *Doc) {
 		}
 		return fmt.Sprintf("%.0f %s (%+.1f%%)", cur, unit, 100*(cur/prev-1))
 	}
-	fmt.Fprintf(w, "gomaxprocs: previous %s, current %s\n\n", procs(prev), procs(cur))
+	fmt.Fprintf(w, "gomaxprocs: previous %s, current %s; num_cpu: previous %s, current %s\n\n",
+		known(prev.GOMAXPROCS), known(cur.GOMAXPROCS), known(prev.NumCPU), known(cur.NumCPU))
 	fmt.Fprintln(w, "| benchmark | ns/op | B/op | allocs/op |")
 	fmt.Fprintln(w, "|---|---|---|---|")
 	for _, e := range cur.Benchmarks {

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -207,5 +210,39 @@ func TestPositionalsTrailingFlags(t *testing.T) {
 	// A bad flag surfaces as an error, not a silent positional.
 	if _, err := positionals(fs, []string{"a.json", "-no-such-flag"}); err == nil {
 		t.Fatal("unknown trailing flag accepted")
+	}
+}
+
+// TestNumCPU: conversion records the converting process's core count,
+// and compare and delta print both sides' value beside gomaxprocs — a
+// document recorded without it reads "unknown" — without gating on it.
+func TestNumCPU(t *testing.T) {
+	doc, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.NumCPU != runtime.NumCPU() {
+		t.Fatalf("NumCPU = %d, want runtime.NumCPU() = %d", doc.NumCPU, runtime.NumCPU())
+	}
+	js, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`"num_cpu":%d`, runtime.NumCPU()); !strings.Contains(string(js), want) {
+		t.Fatalf("JSON lacks %s: %s", want, js)
+	}
+	base := &Doc{GOMAXPROCS: 2, Benchmarks: []Entry{{Name: "BenchmarkA", NsPerOp: 100}}}
+	cur := &Doc{GOMAXPROCS: 2, NumCPU: 8, Benchmarks: []Entry{{Name: "BenchmarkA", NsPerOp: 100}}}
+	var out strings.Builder
+	if failed := compare(&out, base, cur, 1.5, 1.1, nil); len(failed) != 0 {
+		t.Fatalf("num_cpu gated: %v", failed)
+	}
+	if !strings.Contains(out.String(), "gomaxprocs: baseline 2, current 2; num_cpu: baseline unknown, current 8") {
+		t.Fatalf("compare header missing num_cpu:\n%s", out.String())
+	}
+	out.Reset()
+	delta(&out, cur, base)
+	if !strings.Contains(out.String(), "num_cpu: previous 8, current unknown") {
+		t.Fatalf("delta header missing num_cpu:\n%s", out.String())
 	}
 }

@@ -35,7 +35,8 @@
 //	svg      write the chip layout to <circuit>.svg
 //	report   pipeline summary for the selected circuit
 //	profile  per-stage wall-time/alloc/metric breakdown of the pipeline
-//	all      everything above in order
+//	all      fig1, fig2, ex1, ex2, report, then fig3–fig6, agrawal, iddq,
+//	         delay, resist, lot, inject, diag, kinds
 //
 // Flags select the circuit (default: the c432-class benchmark), the seed,
 // the yield scaling and the random-vector budget; -n bounds the ndetect
@@ -62,6 +63,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"defectsim/internal/defect"
@@ -105,7 +107,7 @@ var commands = []struct{ name, desc string }{
 	{"svg", "write the chip layout to <circuit>.svg"},
 	{"report", "pipeline summary for the selected circuit"},
 	{"profile", "per-stage wall-time/alloc/metric breakdown of the pipeline"},
-	{"all", "everything above in order"},
+	{"all", "fig1, fig2, ex1, ex2, report, then fig3–fig6, agrawal, iddq, delay, resist, lot, inject, diag, kinds"},
 }
 
 func usage() {
@@ -253,6 +255,7 @@ func main() {
 		return p
 	}
 
+	studies := experiments.StandardStudies()
 	switch cmd {
 	case "svg":
 		L, err := layout.BuildCtx(ctx, nl, nil)
@@ -271,18 +274,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s (%s)\n", name, L.ComputeStats())
-	case "fig3":
-		fmt.Print(experiments.Figure3(run(cfg)).Render())
-	case "fig4":
-		fmt.Print(experiments.Figure4(run(cfg)).Render())
-	case "fig5":
-		fmt.Print(experiments.Figure5(run(cfg)).Render())
-	case "fig6":
-		fmt.Print(experiments.Figure6(run(cfg)).Render())
-	case "agrawal":
-		fmt.Print(experiments.RunAgrawalComparison(run(cfg)).Render())
-	case "iddq":
-		fmt.Print(experiments.RunIDDQAblation(run(cfg)).Render())
 	case "opens":
 		cfg.Stats = defect.OpensDominant()
 		p := run(cfg)
@@ -294,12 +285,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(tu.Render())
-	case "delay":
-		a, err := experiments.RunDelayAblation(run(cfg))
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(a.Render())
 	case "paths":
 		st, err := experiments.RunPathDelayStudy(run(cfg), 100)
 		if err != nil {
@@ -308,12 +293,6 @@ func main() {
 		fmt.Print(st.Render())
 	case "dft":
 		st, err := experiments.RunTestPointStudy(run(cfg), 8)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(st.Render())
-	case "resist":
-		st, err := experiments.RunResistiveBridgeStudy(ctx, run(cfg), nil)
 		if err != nil {
 			fatal(err)
 		}
@@ -330,18 +309,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(st.Render())
-	case "lot":
-		fmt.Print(experiments.RunLotValidation(run(cfg), 200000, *seed).Render())
-	case "inject":
-		fmt.Print(experiments.RunInjectionValidation(run(cfg), 50000, *seed).Render())
-	case "diag":
-		st, err := experiments.RunDiagnosisStudy(ctx, run(cfg), 200, 5)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(st.Render())
-	case "kinds":
-		fmt.Print(experiments.FaultKindBreakdown(run(cfg)))
 	case "suite":
 		fmt.Fprintln(os.Stderr, "running the pipeline over the benchmark suite (circuits in parallel)...")
 		st, err := experiments.RunSuiteCtx(ctx, []*netlist.Netlist{
@@ -389,7 +356,7 @@ func main() {
 		fmt.Print(p.Summary(), "\n")
 		// The remaining studies only read the pipeline, so they run as a
 		// concurrent suite on the -workers pool; output order is fixed.
-		rendered, err := experiments.RunStudies(ctx, p, experiments.StandardStudies(), cfg.Workers)
+		rendered, err := experiments.RunStudies(ctx, p, studies, cfg.Workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -397,7 +364,17 @@ func main() {
 			fmt.Print(s, "\n")
 		}
 	default:
-		fatal(fmt.Errorf("unknown command %q", cmd))
+		// fig3–fig6, agrawal, iddq, delay, resist, lot, inject, diag and
+		// kinds: one study of the `all` suite.
+		i := slices.IndexFunc(studies, func(s experiments.Study) bool { return s.Name == cmd })
+		if i < 0 {
+			fatal(fmt.Errorf("unknown command %q", cmd))
+		}
+		out, err := studies[i].Run(ctx, run(cfg))
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Print(out)
 	}
 	if degraded {
 		fmt.Fprintln(os.Stderr, "dlproj: run degraded — results are partial (exit 4)")

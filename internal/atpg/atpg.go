@@ -13,10 +13,8 @@ package atpg
 
 import (
 	"context"
-	"fmt"
 
 	"defectsim/internal/fault"
-	"defectsim/internal/faultinject"
 	"defectsim/internal/gatesim"
 	"defectsim/internal/netlist"
 	"defectsim/internal/obs"
@@ -563,26 +561,45 @@ func (g *Generator) search(ctx context.Context, f fault.StuckAt, constraints []A
 	}
 }
 
-// TestSet is the outcome of BuildTestSetWorkersCtx.
+// TestSet is a test set grown toward N detections of every fault: the
+// outcome of BuildTestSetWorkersCtx (the paper's stuck-at set, N = 1)
+// and of BuildNDetectTestSet.
 type TestSet struct {
+	// N is the target detection multiplicity.
+	N int
+	// Patterns holds the vectors the builder was given followed by the
+	// vectors it appended. Appended vectors are pairwise distinct and
+	// distinct from every given vector; the given ones are taken as-is
+	// (duplicate random stimuli each earn their own credit: counts are per
+	// applied vector, matching gatesim counting mode).
 	Patterns []gatesim.Pattern
-	// RandomCount is how many leading patterns are random.
+	// RandomCount is how many leading patterns the builder was given: the
+	// random prefix, or the base set of an n-detect build.
 	RandomCount int
-	// Status per fault after the full set (post fault simulation).
+	// DetectCounts[i] is fault i's detection count, capped at N.
+	DetectCounts []int
+	// DetectedAt[i] is the 1-based index of the vector supplying fault i's
+	// N-th detection (at N = 1 its first), 0 when the set never detects it
+	// N times.
 	DetectedAt []int
+	// Untestable marks faults proven redundant.
 	Untestable []bool
-	Aborted    []bool
-	// Incomplete marks a set whose deterministic top-up stopped early
-	// (cancellation or an exhausted time budget): every fault not yet
-	// detected or proven untestable at that point is reported Aborted.
+	// Aborted marks faults the builder gave up on short of N detections:
+	// the search hit its backtrack limit, or (N > 1) found no further
+	// distinct detecting vector. A later vector that brings the fault to N
+	// detections clears the flag. A stuck-at set that stopped early also
+	// marks every fault it had not decided.
+	Aborted []bool
+	// Incomplete marks a set whose top-up stopped early (cancellation, an
+	// exhausted time budget or an injected failure).
 	Incomplete bool
 }
 
-// Coverage returns the final stuck-at coverage over testable faults if
-// excludeUntestable, else over all faults. Aborted faults are never
-// excluded: their testability is unknown, so they stay in the denominator
-// (the paper's eq. 6 weights every fault that could reach a customer) and
-// out of the numerator.
+// Coverage returns the fraction of faults detected N times, over testable
+// faults if excludeUntestable, else over all faults. Aborted faults are
+// never excluded: their testability is unknown, so they stay in the
+// denominator (the paper's eq. 6 weights every fault that could reach a
+// customer) and out of the numerator.
 //
 // Per-fault outcome precedence is Detected > Untestable > Aborted,
 // matching Counts: a fault the random phase detected before the
@@ -607,12 +624,12 @@ func (ts *TestSet) Coverage(excludeUntestable bool) float64 {
 	return float64(det) / float64(tot)
 }
 
-// Counts returns the per-outcome fault totals of the set: detected by some
-// vector, proven untestable (redundant), and aborted (backtrack limit,
-// budget exhaustion or cancellation). Each fault lands in exactly one
-// bucket with precedence Detected > Untestable > Aborted — the same
-// precedence Coverage applies, so detected+untestable faults are never
-// double-counted and the two views always agree.
+// Counts returns the per-outcome fault totals of the set: detected N
+// times, proven untestable (redundant), and aborted (backtrack limit,
+// no further distinct vector, budget exhaustion or cancellation). Each
+// fault lands in exactly one bucket with precedence Detected > Untestable
+// > Aborted — the same precedence Coverage applies, so detected+untestable
+// faults are never double-counted and the two views always agree.
 func (ts *TestSet) Counts() (detected, untestable, aborted int) {
 	for i := range ts.DetectedAt {
 		switch {
@@ -628,9 +645,9 @@ func (ts *TestSet) Counts() (detected, untestable, aborted int) {
 }
 
 // BuildTestSetWorkersCtx produces the paper's vector recipe: nRandom
-// seeded random patterns, fault-simulated with dropping, followed by
-// deterministic patterns for each remaining undetected fault (each new
-// pattern is fault simulated so later targets can be dropped early).
+// seeded random patterns, topped up with deterministic patterns until
+// every fault is detected, proven untestable or aborted — the one
+// test-set builder at N = 1 (see BuildNDetectTestSet).
 //
 // tr records stage spans for the random prefix, its gate-level fault
 // simulation and the deterministic top-up, plus generation and detection
@@ -653,23 +670,15 @@ func (ts *TestSet) Counts() (detected, untestable, aborted int) {
 // either discard it (run cancelled) or keep it as a degraded result
 // (stage budget exhausted).
 func BuildTestSetWorkersCtx(ctx context.Context, nl *netlist.Netlist, faults []fault.StuckAt, nRandom int, seed uint64, backtrackLimit int, workers int, tr *obs.Tracer) (*TestSet, error) {
-	reg := tr.Metrics()
-	gen, err := NewGenerator(nl)
-	if err != nil {
+	sp := tr.StartSpan("random-prefix")
+	prefix := gatesim.RandomPatterns(nl, nRandom, seed)
+	sp.End()
+	ts, err := build(ctx, nl, faults, prefix, nil, 1, backtrackLimit, workers, tr, stuckAtPhases)
+	if ts == nil {
 		return nil, err
 	}
-	gen.Instrument(reg)
-	ts := &TestSet{
-		RandomCount: nRandom,
-		DetectedAt:  make([]int, len(faults)),
-		Untestable:  make([]bool, len(faults)),
-		Aborted:     make([]bool, len(faults)),
-	}
-	// abortRest marks every undecided fault Aborted and flags the set
-	// Incomplete — the early-stop path shared by cancellation and budget
-	// expiry.
-	abortRest := func() {
-		ts.Incomplete = true
+	reg := tr.Metrics()
+	if err != nil {
 		n := int64(0)
 		for i := range faults {
 			if ts.DetectedAt[i] == 0 && !ts.Untestable[i] && !ts.Aborted[i] {
@@ -678,73 +687,7 @@ func BuildTestSetWorkersCtx(ctx context.Context, nl *netlist.Netlist, faults []f
 			}
 		}
 		reg.Counter("atpg_faults_aborted_on_stop").Add(n)
-	}
-	sp := tr.StartSpan("random-prefix")
-	ts.Patterns = gatesim.RandomPatterns(nl, nRandom, seed)
-	sp.End()
-	sp = tr.StartSpan("gate-sim")
-	res, err := gatesim.SimulateFaultsCtx(ctx, nl, faults, ts.Patterns, workers, reg)
-	if err != nil {
-		sp.End()
-		copy(ts.DetectedAt, res.DetectedAt)
-		abortRest()
 		return ts, err
-	}
-	copy(ts.DetectedAt, res.DetectedAt)
-	sp.End()
-
-	sp = tr.StartSpan("deterministic-topup")
-	defer sp.End()
-	mDetPatterns := reg.Counter("atpg_deterministic_patterns")
-	for i := range faults {
-		if ts.DetectedAt[i] > 0 {
-			continue
-		}
-		if err := faultinject.Fire(ctx, faultinject.HookATPGFault); err != nil {
-			abortRest()
-			return ts, err
-		}
-		if err := ctx.Err(); err != nil {
-			abortRest()
-			return ts, err
-		}
-		pat, status := gen.GenerateCtx(ctx, faults[i], backtrackLimit)
-		switch status {
-		case StatusUntestable:
-			ts.Untestable[i] = true
-		case StatusAborted:
-			ts.Aborted[i] = true
-		case StatusDetected:
-			ts.Patterns = append(ts.Patterns, pat)
-			mDetPatterns.Inc()
-			k := len(ts.Patterns)
-			// Fault-simulate the new pattern against every remaining fault.
-			var rem []fault.StuckAt
-			var remIdx []int
-			for j := range faults {
-				if ts.DetectedAt[j] == 0 && !ts.Untestable[j] {
-					rem = append(rem, faults[j])
-					remIdx = append(remIdx, j)
-				}
-			}
-			r, err := gatesim.SimulateFaultsCtx(ctx, nl, rem, []gatesim.Pattern{pat}, workers, reg)
-			if err != nil {
-				abortRest()
-				return ts, err
-			}
-			for jj, d := range r.DetectedAt {
-				if d > 0 {
-					ts.DetectedAt[remIdx[jj]] = k
-					// A fault aborted earlier may be detected by a later
-					// pattern generated for another target; its final
-					// status is then detected, not aborted.
-					ts.Aborted[remIdx[jj]] = false
-				}
-			}
-			if ts.DetectedAt[i] == 0 {
-				return nil, fmt.Errorf("atpg: generated pattern for %v does not detect it", faults[i])
-			}
-		}
 	}
 	if reg != nil {
 		hist := reg.Histogram("atpg_vectors_to_detect", obs.ExpBuckets(1, 2, 10))

@@ -84,15 +84,15 @@ func (c *cutCtx) Err() error {
 // TestNDetectCancelInsideSearch cuts an n-detect build inside a search —
 // at a fixed count of context checks, so the cut lands at the same point
 // on every run — and requires a clean stop: the context's error, an
-// Incomplete set, and no fault marked Saturated (or counted in
-// atpg_ndetect_saturated) that the uncut build does not saturate too. The
+// Incomplete set, and no fault marked Aborted (or counted in
+// atpg_ndetect_saturated) that the uncut build does not give up too. The
 // build passes no untestable list, so it also targets redundant faults,
 // whose plain searches run past ctxCheckStride backtracks.
 func TestNDetectCancelInsideSearch(t *testing.T) {
 	nl := netlist.C432Class(1994)
 	faults := fault.StuckAtUniverse(nl)
 	base := gatesim.RandomPatterns(nl, 32, 1994)
-	build := func(ctx context.Context, tr *obs.Tracer) (*NDetectSet, error) {
+	build := func(ctx context.Context, tr *obs.Tracer) (*TestSet, error) {
 		return BuildNDetectTestSet(ctx, nl, faults, base, nil, 2, 2000, 1, tr)
 	}
 
@@ -115,17 +115,17 @@ func TestNDetectCancelInsideSearch(t *testing.T) {
 			t.Fatalf("cut at check %d did not land inside a search", cut)
 		}
 		saturated := 0
-		for i, sat := range s.Saturated {
-			if !sat {
+		for i, ab := range s.Aborted {
+			if !ab {
 				continue
 			}
 			saturated++
-			if !full.Saturated[i] {
-				t.Errorf("cut at check %d: fault %v marked Saturated, but the uncut build does not saturate it", cut, faults[i])
+			if !full.Aborted[i] {
+				t.Errorf("cut at check %d: fault %v marked Aborted, but the uncut build does not give it up", cut, faults[i])
 			}
 		}
 		if got := tr.Metrics().Counter("atpg_ndetect_saturated").Value(); got != int64(saturated) {
-			t.Errorf("cut at check %d: atpg_ndetect_saturated = %d, want the %d Saturated faults", cut, got, saturated)
+			t.Errorf("cut at check %d: atpg_ndetect_saturated = %d, want the %d Aborted faults", cut, got, saturated)
 		}
 	}
 }

@@ -89,9 +89,9 @@ func atpgDigests(t *testing.T, nl *netlist.Netlist) [3]string {
 		nd.patterns(s.Patterns)
 		for i := range faults {
 			nd.put(s.DetectCounts[i])
-			nd.put(s.NthDetectedAt[i])
+			nd.put(s.DetectedAt[i])
 			nd.flag(s.Untestable[i])
-			nd.flag(s.Saturated[i])
+			nd.flag(s.Aborted[i])
 		}
 	}
 
@@ -124,7 +124,7 @@ func TestATPGOutputDigests(t *testing.T) {
 		"mux8":           {"172c6e7657035227", "5ad61392777bfd2a", "2873fe502979d01a"},
 		"parity8":        {"09844f05d3b2e64e", "745d85b8bde8baec", "fa630a929cc825aa"},
 		"cmp4":           {"dbb0d9894efc41f0", "29ac4b95bbbfcdfa", "6c8045c3be435b62"},
-		"dec3":           {"8eb810b9c876a913", "6452651114c6af1c", "33fb18df4236d33d"},
+		"dec3":           {"8eb810b9c876a913", "1b9198548cad8493", "33fb18df4236d33d"},
 		"c432class-1994": {"40d4430c74377ba5", "cf06eef88dede4e6", "74ff0ed79187701a"},
 		"c432class-3":    {"6b6c6a015207d42f", "c6123628264a0de2", "068b23fe11c9f32e"},
 		"random":         {"f62ba208b8d296cf", "187b94660f8ef38b", "2b494cc056e0dafc"},

@@ -3,6 +3,7 @@ package atpg
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"defectsim/internal/fault"
 	"defectsim/internal/faultinject"
@@ -18,232 +19,205 @@ import (
 // partial open) whose analog behavior masks that single detection, while
 // n independent detections excite the site under n different line
 // conditions and close most of the gap between stuck-at coverage T and
-// realistic coverage Θ (eq. 9).
-
-// NDetectSet is the outcome of BuildNDetectTestSet: a base test set plus
-// appended top-up vectors, with per-fault detection multiplicity.
-type NDetectSet struct {
-	// N is the target detection multiplicity.
-	N int
-	// Patterns holds the base set followed by the appended top-up
-	// vectors. Appended vectors are pairwise distinct and distinct from
-	// every base vector; the base is taken as-is (it may contain
-	// duplicate random stimuli, each of which earns its own credit —
-	// counts are per applied vector, matching gatesim counting mode).
-	Patterns []gatesim.Pattern
-	// BaseCount is how many leading patterns came from the base set.
-	BaseCount int
-	// DetectCounts[i] is fault i's detection count, capped at N.
-	DetectCounts []int
-	// NthDetectedAt[i] is the 1-based index of the vector supplying the
-	// N-th detection, 0 when fault i never reached N detections.
-	NthDetectedAt []int
-	// Untestable marks faults proven redundant (carried in from the base
-	// build or discovered during top-up generation).
-	Untestable []bool
-	// Saturated marks testable faults the top-up could not push to N
-	// detections: the generator found no further distinct detecting
-	// vector (exhausted search, or aborted at the backtrack limit; a
-	// search cut by cancellation saturates nothing).
-	Saturated []bool
-	// Incomplete marks a set whose top-up stopped early on cancellation
-	// or budget expiry.
-	Incomplete bool
-}
-
-// Added returns the number of top-up vectors appended to the base set.
-func (s *NDetectSet) Added() int { return len(s.Patterns) - s.BaseCount }
-
-// FullyDetected returns how many faults reached N detections.
-func (s *NDetectSet) FullyDetected() int {
-	n := 0
-	for _, c := range s.DetectCounts {
-		if c >= s.N {
-			n++
-		}
-	}
-	return n
-}
-
-// Coverage returns the fraction of faults detected N times, over testable
-// faults if excludeUntestable, else over all faults. Precedence matches
-// TestSet.Coverage: a fault that reached N detections counts as covered
-// even if also marked untestable.
-func (s *NDetectSet) Coverage(excludeUntestable bool) float64 {
-	det, tot := 0, 0
-	for i, c := range s.DetectCounts {
-		if excludeUntestable && s.Untestable[i] && c < s.N {
-			continue
-		}
-		tot++
-		if c >= s.N {
-			det++
-		}
-	}
-	if tot == 0 {
-		return 0
-	}
-	return float64(det) / float64(tot)
-}
+// realistic coverage Θ (eq. 9). The paper's stuck-at test set is the
+// n = 1 case: BuildTestSetWorkersCtx and BuildNDetectTestSet share one
+// builder.
 
 // BuildNDetectTestSet grows base into an n-detect test set: every fault
 // with fewer than n detections under base (counted by the gatesim
 // counting mode) is targeted with deterministic generation until it
 // reaches n distinct detecting vectors, is proven untestable, or the
-// search saturates. Each accepted vector is fault-simulated against every
-// still-short fault so cross-detection credit accrues and later targets
-// need fewer vectors.
+// search gives up (Aborted). Each accepted vector is fault-simulated
+// against every still-short fault so cross-detection credit accrues and
+// later targets need fewer vectors.
 //
 // Distinctness is forced through GenerateConstrained: when the plain
 // PODEM solution duplicates an existing vector, the generator is re-run
 // with one primary input constrained to the opposite value, scanning PIs
 // until a fresh detecting vector appears. untestable carries prior
 // knowledge from the base build (nil means none). The context is checked
-// between faults, between PI flips and inside every search; when it ends
+// between vectors, between PI flips and inside every search; when it ends
 // mid-build the partial set is returned marked Incomplete together with
 // the context's error, and the fault whose search it cut is not marked
-// Saturated.
-func BuildNDetectTestSet(ctx context.Context, nl *netlist.Netlist, faults []fault.StuckAt, base []gatesim.Pattern, untestable []bool, n, backtrackLimit, workers int, tr *obs.Tracer) (*NDetectSet, error) {
+// Aborted.
+func BuildNDetectTestSet(ctx context.Context, nl *netlist.Netlist, faults []fault.StuckAt, base []gatesim.Pattern, untestable []bool, n, backtrackLimit, workers int, tr *obs.Tracer) (*TestSet, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("atpg: n-detect requires n >= 1, got %d", n)
 	}
+	s, err := build(ctx, nl, faults, base, untestable, n, backtrackLimit, workers, tr, nDetectPhases)
+	if s != nil {
+		_, _, aborted := s.Counts()
+		tr.Metrics().Counter("atpg_ndetect_saturated").Add(int64(aborted))
+	}
+	return s, err
+}
+
+// phases names the spans and the appended-pattern counter of one entry
+// point into build.
+type phases struct{ baseSim, topUp, patterns string }
+
+var (
+	stuckAtPhases = phases{"gate-sim", "deterministic-topup", "atpg_deterministic_patterns"}
+	nDetectPhases = phases{"ndetect-base-sim", "ndetect-topup", "atpg_ndetect_patterns"}
+)
+
+// build is the one test-set builder. It credits the given vectors with
+// one counting-mode fault simulation, then takes each fault short of n
+// detections in order: it runs PODEM, appends the vector and credits it,
+// until the fault reaches n detections, is proven untestable, or is given
+// up. A fault that already has a detection needs a vector not yet in the
+// set, which PI-flip constrained searches supply; a fault with none was
+// credited against every vector of the set and none detected it, so its
+// plain PODEM vector is new.
+//
+// When the context ends or an injected failure fires, the partial set is
+// returned marked Incomplete with the error. The set is nil only when no
+// partial set can describe the failure: a netlist that does not levelize,
+// vectors of the wrong width, or a generated vector that misses its
+// target.
+func build(ctx context.Context, nl *netlist.Netlist, faults []fault.StuckAt, given []gatesim.Pattern, untestable []bool, n, backtrackLimit, workers int, tr *obs.Tracer, ph phases) (*TestSet, error) {
 	reg := tr.Metrics()
 	gen, err := NewGenerator(nl)
 	if err != nil {
 		return nil, err
 	}
 	gen.Instrument(reg)
-
-	s := &NDetectSet{
-		N:             n,
-		Patterns:      append([]gatesim.Pattern(nil), base...),
-		BaseCount:     len(base),
-		DetectCounts:  make([]int, len(faults)),
-		NthDetectedAt: make([]int, len(faults)),
-		Untestable:    make([]bool, len(faults)),
-		Saturated:     make([]bool, len(faults)),
-	}
-	if untestable != nil {
-		copy(s.Untestable, untestable)
-	}
-
-	sp := tr.StartSpan("ndetect-base-sim")
-	res, err := gatesim.SimulateFaultsNCtx(ctx, nl, faults, base, n, workers, reg)
-	if err != nil {
-		sp.End()
-		s.Incomplete = true
-		copy(s.DetectCounts, res.DetectCounts)
-		copy(s.NthDetectedAt, res.NthDetectedAt)
-		return s, err
-	}
-	copy(s.DetectCounts, res.DetectCounts)
-	copy(s.NthDetectedAt, res.NthDetectedAt)
+	sp := tr.StartSpan(ph.baseSim)
+	res, err := gatesim.SimulateFaultsNCtx(ctx, nl, faults, given, n, workers, reg)
 	sp.End()
-
-	seen := make(map[string]bool, len(base))
-	for _, p := range base {
-		seen[string(p)] = true
+	if res == nil {
+		return nil, err
+	}
+	ts := &TestSet{
+		N: n,
+		// Clipped, so appending never writes into the caller's array.
+		Patterns:     slices.Clip(given),
+		RandomCount:  len(given),
+		DetectCounts: res.DetectCounts,
+		DetectedAt:   res.NthDetectedAt,
+		Untestable:   make([]bool, len(faults)),
+		Aborted:      make([]bool, len(faults)),
+	}
+	copy(ts.Untestable, untestable)
+	if err != nil {
+		ts.Incomplete = true
+		return ts, err
 	}
 
-	// credit fault-simulates one accepted vector (already appended at
-	// 1-based index k) against every still-short fault.
-	credit := func(pat gatesim.Pattern, k int) error {
-		var rem []fault.StuckAt
-		var remIdx []int
-		for j := range faults {
-			if s.DetectCounts[j] < n && !s.Untestable[j] {
-				rem = append(rem, faults[j])
-				remIdx = append(remIdx, j)
-			}
-		}
-		r, err := gatesim.SimulateFaultsCtx(ctx, nl, rem, []gatesim.Pattern{pat}, workers, reg)
-		if err != nil {
-			return err
-		}
-		for jj, d := range r.DetectedAt {
-			if d == 0 {
-				continue
-			}
-			fi := remIdx[jj]
-			s.DetectCounts[fi]++
-			if s.DetectCounts[fi] == n {
-				s.NthDetectedAt[fi] = k
-			}
-		}
-		return nil
-	}
-
-	// freshPattern searches for a detecting vector for f not yet in the
-	// set: plain generation first, then PI-flip constrained re-runs until
-	// one succeeds or the context ends.
-	freshPattern := func(f fault.StuckAt) (gatesim.Pattern, Status) {
-		pat, status := gen.GenerateCtx(ctx, f, backtrackLimit)
-		if status != StatusDetected {
-			return nil, status
-		}
-		if !seen[string(pat)] {
-			return pat, StatusDetected
-		}
-		for p, pi := range nl.PIs {
-			if ctx.Err() != nil {
-				break
-			}
-			want := L1
-			if pat[p] != 0 {
-				want = L0
-			}
-			cpat, cst := gen.GenerateConstrained(ctx, f, []Assign{{Net: pi, Value: want}}, backtrackLimit)
-			if cst == StatusDetected && !seen[string(cpat)] {
-				return cpat, StatusDetected
-			}
-		}
-		return nil, StatusAborted
-	}
-
-	sp = tr.StartSpan("ndetect-topup")
+	sp = tr.StartSpan(ph.topUp)
 	defer sp.End()
-	mPatterns := reg.Counter("atpg_ndetect_patterns")
-	mSaturated := reg.Counter("atpg_ndetect_saturated")
-	for i := range faults {
-		if s.Untestable[i] {
-			continue
-		}
-		for s.DetectCounts[i] < n {
+	mPatterns := reg.Counter(ph.patterns)
+	var seen map[string]bool // every vector of the set, built on first need
+	for i, f := range faults {
+		for ts.DetectCounts[i] < n && !ts.Untestable[i] && !ts.Aborted[i] {
 			if err := faultinject.Fire(ctx, faultinject.HookATPGFault); err != nil {
-				s.Incomplete = true
-				return s, err
+				ts.Incomplete = true
+				return ts, err
 			}
 			if err := ctx.Err(); err != nil {
-				s.Incomplete = true
-				return s, err
+				ts.Incomplete = true
+				return ts, err
 			}
-			pat, status := freshPattern(faults[i])
-			if status == StatusUntestable {
-				s.Untestable[i] = true
-				break
-			}
-			if status != StatusDetected {
-				// A search cut by cancellation proves nothing: the
-				// fault is left unsaturated in an Incomplete set.
-				if err := ctx.Err(); err != nil {
-					s.Incomplete = true
-					return s, err
+			pat, status := gen.GenerateCtx(ctx, f, backtrackLimit)
+			if status == StatusDetected && ts.DetectCounts[i] > 0 {
+				if seen == nil {
+					seen = make(map[string]bool, len(ts.Patterns))
+					for _, p := range ts.Patterns {
+						seen[string(p)] = true
+					}
 				}
-				s.Saturated[i] = true
-				mSaturated.Inc()
-				break
+				pat, status = gen.distinct(ctx, f, pat, seen, backtrackLimit)
 			}
-			seen[string(pat)] = true
-			s.Patterns = append(s.Patterns, pat)
-			mPatterns.Inc()
-			if err := credit(pat, len(s.Patterns)); err != nil {
-				s.Incomplete = true
-				return s, err
-			}
-			if s.DetectCounts[i] == 0 {
-				return nil, fmt.Errorf("atpg: n-detect pattern for %v does not detect it", faults[i])
+			switch {
+			case status == StatusUntestable:
+				ts.Untestable[i] = true
+			case status == StatusAborted && ctx.Err() != nil:
+				// A search cut by cancellation proves nothing: the fault
+				// is left unmarked in an Incomplete set.
+				ts.Incomplete = true
+				return ts, ctx.Err()
+			case status == StatusAborted:
+				ts.Aborted[i] = true
+			default:
+				if seen != nil {
+					seen[string(pat)] = true
+				}
+				ts.Patterns = append(ts.Patterns, pat)
+				mPatterns.Inc()
+				before := ts.DetectCounts[i]
+				if _, err := ts.credit(ctx, nl, faults, pat, len(ts.Patterns), workers, reg); err != nil {
+					ts.Incomplete = true
+					return ts, err
+				}
+				if ts.DetectCounts[i] == before {
+					return nil, fmt.Errorf("atpg: generated pattern for %v does not detect it", f)
+				}
 			}
 		}
 	}
-	return s, nil
+	return ts, nil
+}
+
+// distinct returns a detecting vector for f that is not in seen: pat, the
+// plain PODEM solution, when it is new, else the first new solution of a
+// search with one primary input constrained against pat, scanning PIs in
+// order. It reports StatusAborted when no PI flip yields one or the
+// context ends.
+func (g *Generator) distinct(ctx context.Context, f fault.StuckAt, pat gatesim.Pattern, seen map[string]bool, backtrackLimit int) (gatesim.Pattern, Status) {
+	if !seen[string(pat)] {
+		return pat, StatusDetected
+	}
+	for p, pi := range g.nl.PIs {
+		if ctx.Err() != nil {
+			break
+		}
+		want := L1
+		if pat[p] != 0 {
+			want = L0
+		}
+		cpat, cst := g.GenerateConstrained(ctx, f, []Assign{{Net: pi, Value: want}}, backtrackLimit)
+		if cst == StatusDetected && !seen[string(cpat)] {
+			return cpat, StatusDetected
+		}
+	}
+	return nil, StatusAborted
+}
+
+// credit fault-simulates pat, the set's k-th vector, against every fault
+// short of N detections and not proven untestable. Each fault it detects
+// gains a detection; one reaching N records k in DetectedAt and loses its
+// Aborted flag. It reports whether pat detected any of them.
+func (ts *TestSet) credit(ctx context.Context, nl *netlist.Netlist, faults []fault.StuckAt, pat gatesim.Pattern, k, workers int, reg *obs.Registry) (bool, error) {
+	isShort := func(j int) bool { return ts.DetectCounts[j] < ts.N && !ts.Untestable[j] }
+	m := 0
+	for j := range faults {
+		if isShort(j) {
+			m++
+		}
+	}
+	short, idx := make([]fault.StuckAt, 0, m), make([]int, 0, m)
+	for j, f := range faults {
+		if isShort(j) {
+			short = append(short, f)
+			idx = append(idx, j)
+		}
+	}
+	r, err := gatesim.SimulateFaultsCtx(ctx, nl, short, []gatesim.Pattern{pat}, workers, reg)
+	if err != nil {
+		return false, err
+	}
+	hit := false
+	for jj, d := range r.DetectedAt {
+		if d == 0 {
+			continue
+		}
+		hit = true
+		j := idx[jj]
+		ts.DetectCounts[j]++
+		if ts.DetectCounts[j] == ts.N {
+			ts.DetectedAt[j] = k
+			ts.Aborted[j] = false
+		}
+	}
+	return hit, nil
 }

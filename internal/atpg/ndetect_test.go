@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"defectsim/internal/fault"
@@ -115,9 +116,10 @@ func TestCompactNRejectsBadN(t *testing.T) {
 	}
 }
 
-// TestBuildNDetectTestSet: the builder pushes every non-saturated testable
-// fault to n detections, appends only distinct vectors, and its counts
-// agree with an independent counting fault simulation of the final set.
+// TestBuildNDetectTestSet: the builder pushes every testable fault it
+// does not give up on to n detections, appends only distinct vectors,
+// and its counts agree with an independent counting fault simulation of
+// the final set.
 func TestBuildNDetectTestSet(t *testing.T) {
 	nl := netlist.C432Class(1994)
 	faults := fault.StuckAtUniverse(nl)
@@ -133,22 +135,22 @@ func TestBuildNDetectTestSet(t *testing.T) {
 	if s.Incomplete {
 		t.Fatal("set marked Incomplete without cancellation")
 	}
-	if s.BaseCount != len(base.Patterns) || len(s.Patterns) < s.BaseCount {
-		t.Fatalf("BaseCount %d, |Patterns| %d, base had %d", s.BaseCount, len(s.Patterns), len(base.Patterns))
+	if s.RandomCount != len(base.Patterns) || len(s.Patterns) < s.RandomCount {
+		t.Fatalf("RandomCount %d, |Patterns| %d, base had %d", s.RandomCount, len(s.Patterns), len(base.Patterns))
 	}
-	// Every testable fault ends at n detections, untestable, or saturated.
+	// Every testable fault ends at n detections, untestable, or aborted.
 	for i := range faults {
-		if s.DetectCounts[i] < n && !s.Untestable[i] && !s.Saturated[i] {
-			t.Fatalf("fault %d left at %d < %d detections, neither untestable nor saturated",
+		if s.DetectCounts[i] < n && !s.Untestable[i] && !s.Aborted[i] {
+			t.Fatalf("fault %d left at %d < %d detections, neither untestable nor aborted",
 				i, s.DetectCounts[i], n)
 		}
 	}
 	// Appended vectors are pairwise distinct and distinct from the base.
 	seen := map[string]bool{}
-	for _, p := range s.Patterns[:s.BaseCount] {
+	for _, p := range s.Patterns[:s.RandomCount] {
 		seen[string(p)] = true
 	}
-	for k, p := range s.Patterns[s.BaseCount:] {
+	for k, p := range s.Patterns[s.RandomCount:] {
 		if seen[string(p)] {
 			t.Fatalf("appended vector %d duplicates an earlier vector", k)
 		}
@@ -164,9 +166,9 @@ func TestBuildNDetectTestSet(t *testing.T) {
 			t.Fatalf("fault %d: builder says %d detections, resimulation says %d",
 				i, s.DetectCounts[i], res.DetectCounts[i])
 		}
-		if s.NthDetectedAt[i] != res.NthDetectedAt[i] {
-			t.Fatalf("fault %d: builder NthDetectedAt %d, resimulation %d",
-				i, s.NthDetectedAt[i], res.NthDetectedAt[i])
+		if s.DetectedAt[i] != res.NthDetectedAt[i] {
+			t.Fatalf("fault %d: builder DetectedAt %d, resimulation NthDetectedAt %d",
+				i, s.DetectedAt[i], res.NthDetectedAt[i])
 		}
 	}
 	// The study's monotonicity source: growing n never shrinks the set.
@@ -180,7 +182,7 @@ func TestBuildNDetectTestSet(t *testing.T) {
 	if got := s.Coverage(true); got <= 0 || got > 1 {
 		t.Fatalf("Coverage(true) = %v out of range", got)
 	}
-	if s.FullyDetected() == 0 {
+	if det, _, _ := s.Counts(); det == 0 {
 		t.Fatal("no fault reached n detections")
 	}
 }
@@ -206,5 +208,34 @@ func TestBuildNDetectTestSetRejectsBadN(t *testing.T) {
 	nl := netlist.C17()
 	if _, err := BuildNDetectTestSet(context.Background(), nl, fault.StuckAtUniverse(nl), nil, nil, 0, 100, 0, nil); err == nil {
 		t.Fatal("accepted n=0")
+	}
+}
+
+// TestAbortedMeansShortOfN pins the builder's give-up rule over the
+// digest circuits, n = 1…4, grown from a 16-vector random prefix: no
+// fault is both given up (Aborted) and at N detections — a later vector
+// that brings a given-up fault to N clears its flag — and in a complete
+// build every fault short of N is untestable or given up.
+func TestAbortedMeansShortOfN(t *testing.T) {
+	for _, nl := range digestCircuits() {
+		if raceEnabled && (strings.HasPrefix(nl.Name, "c432class") || nl.Name == "random") {
+			continue
+		}
+		faults := fault.StuckAtUniverse(nl)
+		prefix := gatesim.RandomPatterns(nl, 16, 1994)
+		for n := 1; n <= 4; n++ {
+			s, err := BuildNDetectTestSet(context.Background(), nl, faults, prefix, nil, n, 1000, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range faults {
+				if s.Aborted[i] && s.DetectCounts[i] >= n {
+					t.Errorf("%s n=%d: fault %v given up with %d detections", nl.Name, n, f, s.DetectCounts[i])
+				}
+				if s.DetectCounts[i] < n && !s.Untestable[i] && !s.Aborted[i] {
+					t.Errorf("%s n=%d: fault %v left at %d detections, neither untestable nor given up", nl.Name, n, f, s.DetectCounts[i])
+				}
+			}
+		}
 	}
 }

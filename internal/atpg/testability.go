@@ -148,43 +148,20 @@ func CompactN(nl *netlist.Netlist, faults []fault.StuckAt, patterns []gatesim.Pa
 	if n < 1 {
 		return nil, fmt.Errorf("atpg: CompactN requires n >= 1, got %d", n)
 	}
-	need := make([]int, len(faults))
-	remaining := make([]int, 0, len(faults))
-	for i := range faults {
-		need[i] = n
-		remaining = append(remaining, i)
+	ts := &TestSet{
+		N:            n,
+		DetectCounts: make([]int, len(faults)),
+		DetectedAt:   make([]int, len(faults)),
+		Untestable:   make([]bool, len(faults)),
+		Aborted:      make([]bool, len(faults)),
 	}
 	kept := make([]bool, len(patterns))
-	for k := len(patterns) - 1; k >= 0 && len(remaining) > 0; k-- {
-		sub := make([]fault.StuckAt, len(remaining))
-		for i, fi := range remaining {
-			sub[i] = faults[fi]
-		}
-		res, err := gatesim.SimulateFaultsCtx(context.Background(), nl, sub, patterns[k:k+1], 0, nil)
+	for k := len(patterns) - 1; k >= 0; k-- {
+		hit, err := ts.credit(context.Background(), nl, faults, patterns[k], k+1, 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		detectedAny := false
-		for i := range remaining {
-			if res.DetectedAt[i] > 0 {
-				detectedAny = true
-				break
-			}
-		}
-		kept[k] = detectedAny
-		if !detectedAny {
-			continue
-		}
-		next := remaining[:0]
-		for i, fi := range remaining {
-			if res.DetectedAt[i] > 0 {
-				need[fi]--
-			}
-			if need[fi] > 0 {
-				next = append(next, fi)
-			}
-		}
-		remaining = next
+		kept[k] = hit
 	}
 	var out []gatesim.Pattern
 	for k, p := range patterns {

@@ -384,14 +384,3 @@ func (c *Cluster) ReplicaStore(name string) store.Store {
 	}
 	return p.Store()
 }
-
-// Peers returns the remote peer clients in name order.
-func (c *Cluster) Peers() []*Peer {
-	cur := c.cur.Load()
-	out := make([]*Peer, 0, len(cur.peers))
-	for _, p := range cur.peers {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}

@@ -108,10 +108,6 @@ func (d SizeDist) CDF(x float64) float64 {
 	return 1 - d.X0*d.X0/(2*x*x)
 }
 
-// TailProb returns P(size > x) — the fraction of defects large enough to
-// matter at a given spacing.
-func (d SizeDist) TailProb(x float64) float64 { return 1 - d.CDF(x) }
-
 // Sample draws a defect size using inverse-transform sampling.
 func (d SizeDist) Sample(rng *rand.Rand) float64 {
 	u := rng.Float64()

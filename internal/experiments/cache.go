@@ -342,10 +342,17 @@ func (cf *cacheFile) restore(p *Pipeline) error {
 	}
 
 	p.TestSet = &atpg.TestSet{
-		RandomCount: cf.RandomCount,
-		DetectedAt:  cf.SADetectedAt,
-		Untestable:  cf.Untestable,
-		Aborted:     cf.Aborted,
+		N:            1,
+		RandomCount:  cf.RandomCount,
+		DetectCounts: make([]int, ns),
+		DetectedAt:   cf.SADetectedAt,
+		Untestable:   cf.Untestable,
+		Aborted:      cf.Aborted,
+	}
+	for i, d := range cf.SADetectedAt {
+		if d > 0 {
+			p.TestSet.DetectCounts[i] = 1
+		}
 	}
 	for _, pat := range cf.Patterns {
 		p.TestSet.Patterns = append(p.TestSet.Patterns, gatesim.Pattern(pat))

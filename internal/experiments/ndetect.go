@@ -93,12 +93,7 @@ func RunNDetectStudy(ctx context.Context, p *Pipeline, maxN int) (*NDetectStudy,
 			sp.End()
 			return nil, err
 		}
-		saturated := 0
-		for _, sat := range s.Saturated {
-			if sat {
-				saturated++
-			}
-		}
+		_, _, saturated := s.Counts()
 		added := len(s.Patterns) - len(patterns)
 		patterns = s.Patterns
 		if added > 0 {

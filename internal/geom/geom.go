@@ -124,9 +124,6 @@ func (r Rect) MaxDim() int {
 	return r.H()
 }
 
-// Center returns the midpoint of r (rounded toward negative infinity).
-func (r Rect) Center() Point { return Point{(r.X0 + r.X1) / 2, (r.Y0 + r.Y1) / 2} }
-
 // Translate returns r shifted by (dx, dy).
 func (r Rect) Translate(dx, dy int) Rect {
 	return Rect{r.X0 + dx, r.Y0 + dy, r.X1 + dx, r.Y1 + dy}

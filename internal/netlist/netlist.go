@@ -12,7 +12,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -403,13 +402,4 @@ func (n *Netlist) NetByName(name string) (int, bool) {
 		}
 	}
 	return -1, false
-}
-
-// SortedPOs returns a copy of the PO list in ascending net order; used by
-// deterministic consumers (e.g. fault observability) that should not depend
-// on declaration order.
-func (n *Netlist) SortedPOs() []int {
-	out := append([]int(nil), n.POs...)
-	sort.Ints(out)
-	return out
 }

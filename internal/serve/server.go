@@ -85,10 +85,8 @@ type Config struct {
 	// RetryAfter is the base Retry-After hint attached to shed (429) and
 	// draining (503) responses. The served hint scales with the backlog —
 	// a full queue on busy workers hints longer waits than a transient
-	// spike — up to RetryAfterMax. Default 1s.
+	// spike — up to 8×RetryAfter. Default 1s.
 	RetryAfter time.Duration
-	// RetryAfterMax caps the adaptive Retry-After hint. Default 8×RetryAfter.
-	RetryAfterMax time.Duration
 	// CacheDir, when non-empty, holds one result-cache file per cache key,
 	// so repeated submissions of a finished configuration are served from
 	// cache. Empty disables the cache (unless Store is set directly).
@@ -138,9 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.RetryAfterMax <= 0 {
-		c.RetryAfterMax = 8 * c.RetryAfter
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
@@ -1072,7 +1067,7 @@ func (s *Server) Store() store.Store { return s.store }
 
 // retryAfterSeconds computes the adaptive Retry-After hint attached to
 // shed and draining responses: the base hint scaled by the backlog per
-// worker, capped at RetryAfterMax. An idle server hints the base; a
+// worker, capped at 8× the base. An idle server hints the base; a
 // server shedding with a full queue tells clients to stay away roughly
 // one queue-drain longer, so synchronized retries do not re-shed.
 func (s *Server) retryAfterSeconds() int {
@@ -1080,8 +1075,8 @@ func (s *Server) retryAfterSeconds() int {
 	backlog := s.queued + s.running
 	s.mu.Unlock()
 	d := time.Duration(float64(s.cfg.RetryAfter) * (1 + float64(backlog)/float64(s.cfg.Workers)))
-	if d > s.cfg.RetryAfterMax {
-		d = s.cfg.RetryAfterMax
+	if d > 8*s.cfg.RetryAfter {
+		d = 8 * s.cfg.RetryAfter
 	}
 	secs := int(d.Seconds() + 0.5)
 	if secs < 1 {

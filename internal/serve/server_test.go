@@ -293,6 +293,23 @@ func TestLoadShed(t *testing.T) {
 	}
 }
 
+// TestRetryAfterCap pins the adaptive hint's range: the base scaled by
+// (1 + backlog/workers), never more than 8× the base.
+func TestRetryAfterCap(t *testing.T) {
+	cfg := Config{Workers: 2, RetryAfter: 2 * time.Second}.withDefaults()
+	for _, tc := range []struct{ queued, running, want int }{
+		{0, 0, 2},   // idle: the base
+		{1, 2, 5},   // 2s × (1 + 3/2)
+		{12, 2, 16}, // 2s × (1 + 14/2), exactly the cap
+		{40, 2, 16}, // 2s × 22, capped at 8 × 2s
+	} {
+		s := &Server{cfg: cfg, queued: tc.queued, running: tc.running}
+		if got := s.retryAfterSeconds(); got != tc.want {
+			t.Errorf("queued %d, running %d: Retry-After %ds, want %ds", tc.queued, tc.running, got, tc.want)
+		}
+	}
+}
+
 // TestSingleflightCoalesce pins deduplication: K identical submissions
 // share one job and exactly one pipeline run.
 func TestSingleflightCoalesce(t *testing.T) {
